@@ -1,19 +1,16 @@
-//! End-to-end trials/sec for the campaign hot loop, A/B'ing the
-//! trace/superblock engine (`PHANTOM_TRACE_CACHE`). The measured unit
+//! End-to-end trials/sec for the campaign hot loop. The measured unit
 //! is [`campaign::run_job`] — boot, checkpoint, fork, rewind-per-bit,
 //! adaptive decode — i.e. exactly what a campaign spends its time on.
-//! Both arms produce bit-identical campaign records (the engine's
-//! contract); only host wall-clock differs. Numbers are recorded in
-//! `EXPERIMENTS.md` §trace-engine.
-//!
-//! Also prints a one-shot per-scenario hit/bailout-rate table (not a
-//! timed benchmark) so the EXPERIMENTS.md replay-rate columns come from
-//! the same probe loop the channels run.
+//! The default mix is A/B'd across the host-throughput paths; both
+//! arms produce byte-identical campaign records, only host wall-clock
+//! differs. Also prints a steady-state stepping rate and a per-phase
+//! wall breakdown (not timed benchmarks). Numbers are recorded in
+//! `EXPERIMENTS.md`.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use phantom::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig};
+use phantom::primitives::{p1_probe_scored, PrimitiveConfig};
 use phantom::runner::TrialRunner;
 use phantom::{UarchProfile, UarchRegistry};
 use phantom_bench::campaign::{self, CampaignConfig, CampaignScenario};
@@ -34,15 +31,8 @@ fn mix(bits: usize) -> CampaignConfig {
     cfg
 }
 
-/// Machines read `PHANTOM_TRACE_CACHE` at boot, and every job boots its
-/// own system, so flipping the variable between arms A/Bs the engine
-/// end to end without touching the measured code path.
-fn set_trace_arm(enabled: bool) {
-    std::env::set_var("PHANTOM_TRACE_CACHE", if enabled { "1" } else { "0" });
-}
-
 /// One representative job per scenario (zen2, quiet noise), 64 bits:
-/// the per-scenario trials/sec A/B.
+/// the per-scenario trials/sec.
 fn bench_per_scenario(c: &mut Criterion) {
     let cfg = mix(64);
     let jobs = campaign::jobs(&cfg);
@@ -54,45 +44,12 @@ fn bench_per_scenario(c: &mut Criterion) {
             .iter()
             .find(|j| j.uarch_key == "zen2" && j.scenario == scenario && j.noise.axis == "quiet")
             .expect("zen2 quiet job exists in the default grid");
-        for trace in [false, true] {
-            let id = format!(
-                "{}/trace={}",
-                scenario.as_str(),
-                if trace { "on" } else { "off" }
-            );
-            group.bench_function(BenchmarkId::from_parameter(id), |b| {
-                set_trace_arm(trace);
-                let runner = TrialRunner::with_threads(1);
-                b.iter(|| campaign::run_job(&runner, &cfg, job).expect("job runs"));
-            });
-        }
-    }
-    group.finish();
-}
-
-/// The whole default mix — every job in the default grid at 8 bits per
-/// job — as one iteration. This is the number the ISSUE's ≥2x target is
-/// scored against.
-fn bench_default_mix(c: &mut Criterion) {
-    let cfg = mix(8);
-    let jobs = campaign::jobs(&cfg);
-    let mut group = c.benchmark_group("trials/default_mix");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(cfg.total_trials() as u64));
-    for trace in [false, true] {
-        let id = if trace { "trace=on" } else { "trace=off" };
-        group.bench_function(BenchmarkId::from_parameter(id), |b| {
-            set_trace_arm(trace);
+        group.bench_function(BenchmarkId::from_parameter(scenario.as_str()), |b| {
             let runner = TrialRunner::with_threads(1);
-            b.iter(|| {
-                for job in &jobs {
-                    campaign::run_job(&runner, &cfg, job).expect("job runs");
-                }
-            });
+            b.iter(|| campaign::run_job(&runner, &cfg, job).expect("job runs"));
         });
     }
     group.finish();
-    std::env::remove_var("PHANTOM_TRACE_CACHE");
 }
 
 /// The host-throughput toggles: boot-image cache, persistent probe
@@ -119,12 +76,11 @@ fn clear_throughput_arm() {
     }
 }
 
-/// The whole default mix again, this time A/B'ing the host-throughput
-/// paths (boot cache + probe arena + rewind journal + frame pool)
-/// together. Both arms produce byte-identical campaign records (the
-/// CI `trial-throughput` job `cmp`s them); only host wall-clock
-/// differs. This is the number the ISSUE's ≥2x target is scored
-/// against.
+/// The whole default mix — every job in the default grid at 8 bits per
+/// job — as one iteration, A/B'ing the host-throughput paths (boot
+/// cache + probe arena + rewind journal + frame pool) together. Both
+/// arms produce byte-identical campaign records (the CI
+/// `trial-throughput` job `cmp`s them); only host wall-clock differs.
 fn bench_throughput_mix(c: &mut Criterion) {
     let cfg = mix(8);
     let jobs = campaign::jobs(&cfg);
@@ -221,76 +177,11 @@ fn report_phase_breakdown(_c: &mut Criterion) {
     clear_throughput_arm();
 }
 
-/// Replay-rate report: run each channel's real probe loop (the same
-/// primitives the covert scenarios call) for 256 rewound trials on one
-/// machine and print hits / bailouts / invalidations. Not a timed
-/// benchmark — criterion ignores it; the table feeds EXPERIMENTS.md.
-fn report_trace_rates(_c: &mut Criterion) {
-    std::env::set_var("PHANTOM_TRACE_CACHE", "1");
-    for scenario in [CampaignScenario::Fetch, CampaignScenario::Execute] {
-        let seed = 0x7ace;
-        let boot_salt = match scenario {
-            CampaignScenario::Fetch => 0xc0de,
-            CampaignScenario::Execute => 0xe8ec,
-            // The PHT channel probes predictor state, not caches, so it
-            // has no trace-replay rate to report.
-            CampaignScenario::Pht => unreachable!("loop covers the covert scenarios only"),
-        };
-        let mut sys =
-            System::new(UarchProfile::zen2(), 1 << 30, seed ^ boot_salt).expect("system boots");
-        let attacker = VirtAddr::new(0x5000_0000);
-        let cfg = PrimitiveConfig::for_system(&sys, attacker);
-        // Same target geometry as the covert-channel scenarios.
-        let (victim, gadget, t1) = match scenario {
-            CampaignScenario::Fetch => (
-                sys.image().listing1_nop,
-                VirtAddr::new(0),
-                sys.image().base + 0x2000 + 43 * 64,
-            ),
-            CampaignScenario::Execute => (
-                sys.image().listing2_call,
-                sys.image().listing3_gadget,
-                sys.layout().physmap_base() + 0x10_0000 + 29 * 64,
-            ),
-            CampaignScenario::Pht => unreachable!("loop covers the covert scenarios only"),
-        };
-        let snap = sys.machine_mut().checkpoint();
-        let mut noise = NoiseModel::quiet(seed);
-        let trials = 256u64;
-        for _ in 0..trials {
-            snap.rewind(sys.machine_mut());
-            match scenario {
-                CampaignScenario::Fetch => p1_probe_scored(&mut sys, &cfg, victim, t1, &mut noise),
-                CampaignScenario::Execute => {
-                    p2_probe_scored(&mut sys, &cfg, victim, gadget, t1, &mut noise)
-                }
-                CampaignScenario::Pht => unreachable!("loop covers the covert scenarios only"),
-            }
-            .expect("probe runs");
-        }
-        let (hits, bailouts, invalidations) = sys.machine().trace_stats();
-        let total = hits + bailouts;
-        println!(
-            "trace-rates {}: {trials} trials -> {hits} hits, {bailouts} bailouts \
-             ({:.1}% replayed), {invalidations} invalidations",
-            scenario.as_str(),
-            if total > 0 {
-                100.0 * hits as f64 / total as f64
-            } else {
-                0.0
-            },
-        );
-    }
-    std::env::remove_var("PHANTOM_TRACE_CACHE");
-}
-
-/// Steady-state stepping A/B: the same straight-line hot loop the
+/// Steady-state stepping rate: the same straight-line hot loop the
 /// decode-cache snapshot uses, stepped 20k architectural instructions
-/// per round, arms strictly alternated *within one process* and the
-/// per-arm minimum taken. On a noisy shared host, sequential criterion
-/// bench IDs drift by more than the effect size; alternation is the
-/// only layout in which both arms see the same interference. Printed,
-/// not criterion-timed, for exactly that reason.
+/// per round, minimum over the rounds taken. Printed, not
+/// criterion-timed: on a noisy shared host the minimum of short rounds
+/// is steadier than a criterion mean.
 fn report_steady_state(_c: &mut Criterion) {
     const STEPS: u64 = 20_000;
     const ROUNDS: usize = 12;
@@ -335,39 +226,22 @@ fn report_steady_state(_c: &mut Criterion) {
         m.set_pc(VirtAddr::new(blob.base));
         m
     };
-    let mut best = [f64::INFINITY; 2]; // [off, on]
-    let mut machines: Vec<Machine> = (0..2)
-        .map(|arm| {
-            let mut m = build();
-            m.set_trace_cache_enabled(arm == 1);
-            m.run(STEPS).expect("warmup runs"); // warm caches + trace heat
-            m
-        })
-        .collect();
+    let mut m = build();
+    m.run(STEPS).expect("warmup runs"); // warm caches
+    let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
-        for (arm, m) in machines.iter_mut().enumerate() {
-            let t = Instant::now();
-            m.run(STEPS).expect("hot loop runs");
-            let ns = t.elapsed().as_secs_f64() * 1e9 / STEPS as f64;
-            best[arm] = best[arm].min(ns);
-        }
+        let t = Instant::now();
+        m.run(STEPS).expect("hot loop runs");
+        best = best.min(t.elapsed().as_secs_f64() * 1e9 / STEPS as f64);
     }
-    println!(
-        "steady-state stepping (hot loop, min of {ROUNDS} alternated rounds): \
-         trace=off {:.1} ns/step, trace=on {:.1} ns/step ({:.2}x)",
-        best[0],
-        best[1],
-        best[0] / best[1]
-    );
+    println!("steady-state stepping (hot loop, min of {ROUNDS} rounds): {best:.1} ns/step");
 }
 
 criterion_group!(
     benches,
-    report_trace_rates,
     report_steady_state,
     report_phase_breakdown,
     bench_per_scenario,
-    bench_default_mix,
     bench_throughput_mix
 );
 criterion_main!(benches);

@@ -45,7 +45,7 @@ use phantom::mitigations::{
 };
 use phantom::report;
 use phantom::report::json::{
-    diff, BenchSnapshot, NoiseSweepRecord, PhtChannelRecord, Tolerance, SCHEMA,
+    diff, BenchSnapshot, NoiseSweepRecord, PerfRecord, PhtChannelRecord, Tolerance, SCHEMA,
 };
 use phantom::report::value::JsonValue;
 use phantom::runner::TrialRunner;
@@ -208,8 +208,8 @@ fn figure6(r: &TrialRunner, profiles: &[UarchProfile]) -> Result<(), phantom_ben
 /// made in a spec's `cbp` block are visible at a glance.
 fn list_uarchs(registry: &UarchRegistry) {
     println!(
-        "{:<10} {:<26} {:<22} {:<6} {:<12} {:<20} {}",
-        "key", "name", "model", "vendor", "btb", "cbp", "phantom-exec-uops"
+        "{:<10} {:<26} {:<22} {:<6} {:<12} {:<20} phantom-exec-uops",
+        "key", "name", "model", "vendor", "btb", "cbp"
     );
     for spec in registry.specs() {
         let profile = spec.profile();
@@ -705,47 +705,32 @@ fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), phantom_bench::Runne
             // The raw hot-path counters make a hit-rate regression
             // diagnosable from CI logs alone.
             eprintln!("perf counters (baseline -> current):");
-            let (b, c) = (&baseline.perf, &snap.perf);
-            for (name, bv, cv) in [
-                (
-                    "decode_cache_hits",
-                    b.decode_cache_hits,
-                    c.decode_cache_hits,
-                ),
-                (
-                    "decode_cache_misses",
-                    b.decode_cache_misses,
-                    c.decode_cache_misses,
-                ),
-                ("tlb_hits", b.tlb_hits, c.tlb_hits),
-                ("tlb_misses", b.tlb_misses, c.tlb_misses),
-                ("cow_faults", b.cow_faults, c.cow_faults),
-                (
-                    "cow_frames_shared",
-                    b.cow_frames_shared,
-                    c.cow_frames_shared,
-                ),
-                (
-                    "restore_frames_copied",
-                    b.restore_frames_copied,
-                    c.restore_frames_copied,
-                ),
-                ("trial_retries", b.trial_retries, c.trial_retries),
-                ("trace_hits", b.trace_hits, c.trace_hits),
-                ("trace_bailouts", b.trace_bailouts, c.trace_bailouts),
-                (
-                    "trace_invalidations",
-                    b.trace_invalidations,
-                    c.trace_invalidations,
-                ),
-            ] {
-                let marker = if bv == cv { "" } else { "  <-- changed" };
-                eprintln!("  {name}: {bv} -> {cv}{marker}");
+            for row in perf_counter_rows(&baseline.perf, &snap.perf) {
+                eprintln!("{row}");
             }
             std::process::exit(1);
         }
     }
     Ok(())
+}
+
+/// One `name: baseline -> current` row per counter that
+/// [`PerfRecord::to_json`] emits, so the `bench --baseline` failure
+/// dump lists every counter the record has.
+fn perf_counter_rows(baseline: &PerfRecord, current: &PerfRecord) -> Vec<String> {
+    let base = baseline.to_json();
+    let JsonValue::Object(counters) = current.to_json() else {
+        unreachable!("a perf record encodes as an object")
+    };
+    counters
+        .into_iter()
+        .map(|(name, cur)| {
+            let bv = base.get(&name).and_then(JsonValue::as_u64).unwrap_or(0);
+            let cv = cur.as_u64().unwrap_or(0);
+            let marker = if bv == cv { "" } else { "  <-- changed" };
+            format!("  {name}: {bv} -> {cv}{marker}")
+        })
+        .collect()
 }
 
 /// Run the discover fuzzer: evaluate `budget` seeded (program × spec)
@@ -792,9 +777,9 @@ fn discover(
             },
         );
     }
-    std::fs::write(out, discover_jsonl(&report))?;
+    std::fs::write(out, discover_jsonl(report))?;
     if let Some(dir) = corpus {
-        let paths = phantom_bench::discover::write_corpus(dir, &report, 16)?;
+        let paths = phantom_bench::discover::write_corpus(dir, report, 16)?;
         println!(
             "[discover: wrote {} corpus case(s) under {}]",
             paths.len(),
@@ -1096,5 +1081,37 @@ fn main() {
     if let Err(e) = result {
         eprintln!("repro {cmd} failed: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn perf_dump_lists_every_counter_the_record_encodes() {
+        let mut required = JsonValue::object();
+        required
+            .set("decode_cache_hits", JsonValue::Uint(997))
+            .set("decode_cache_misses", JsonValue::Uint(3))
+            .set("decodes_avoided", JsonValue::Uint(997));
+        let cur = PerfRecord::from_json(&required).expect("perf record parses");
+        let mut base = cur.clone();
+        base.frame_pool_reuses += 1;
+        let rows = perf_counter_rows(&base, &cur);
+        let JsonValue::Object(counters) = cur.to_json() else {
+            panic!("perf record is not an object")
+        };
+        assert_eq!(rows.len(), counters.len());
+        for (name, _) in &counters {
+            let prefix = format!("  {name}: ");
+            assert!(
+                rows.iter().any(|r| r.starts_with(&prefix)),
+                "{name} missing from the dump"
+            );
+        }
+        let changed: Vec<_> = rows.iter().filter(|r| r.ends_with("<-- changed")).collect();
+        assert_eq!(changed.len(), 1);
+        assert!(changed[0].starts_with("  frame_pool_reuses: "));
     }
 }

@@ -597,7 +597,7 @@ mod tests {
     #[test]
     fn campaign_jsonl_is_byte_identical_with_throughput_paths_toggled() {
         // The host-throughput paths (boot cache, probe arena, rewind
-        // journal, frame pool, warm forks) change wall-clock only:
+        // journal, frame pool) change wall-clock only:
         // every record they stream must match the legacy paths byte
         // for byte. Flipping the toggles mid-process is safe precisely
         // because of that contract — no concurrently running test can
@@ -617,14 +617,10 @@ mod tests {
             std::env::set_var(var, "1");
         }
         let fast = campaign_bytes(&cfg, 1);
-        std::env::set_var("PHANTOM_WARM_FORK", "1");
-        let warm = campaign_bytes(&cfg, 1);
-        std::env::remove_var("PHANTOM_WARM_FORK");
         for var in TOGGLES {
             std::env::remove_var(var);
         }
         assert_eq!(legacy, fast, "throughput paths must be byte-invisible");
-        assert_eq!(legacy, warm, "warm forks must be byte-invisible");
     }
 
     #[test]

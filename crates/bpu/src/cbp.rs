@@ -10,27 +10,13 @@
 //! schemes (the Apple-M1-style predictor with PC-bit folding that makes
 //! *out-of-place* conditional mistraining possible) are just different
 //! data, loadable from `phantom-uarch-spec` text.
-//!
-//! Like the BTB, the CBP carries a process-globally-unique content
-//! generation stamp so trace-engine memoization stays sound across
-//! snapshot rewinds.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use phantom_mem::VirtAddr;
 
 use crate::hashfn::{parity_fold, FoldFn};
 use crate::state::PredictorState;
-
-/// Source of CBP content-generation stamps; same contract as
-/// `BTB_GENERATIONS` (see [`crate::btb`]): process-global so a stamp
-/// value identifies one specific CBP content for the process lifetime.
-static CBP_GENERATIONS: AtomicU64 = AtomicU64::new(1);
-
-fn next_cbp_generation() -> u64 {
-    CBP_GENERATIONS.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One CBP index-bit function: the XOR of a parity over branch-PC bits
 /// and a parity over global-history bits.
@@ -283,8 +269,6 @@ pub struct Cbp {
     entries: Vec<CbpEntry>,
     ghr: u64,
     clock: u64,
-    dirty: bool,
-    generation: u64,
 }
 
 impl Cbp {
@@ -317,8 +301,6 @@ impl Cbp {
             entries,
             ghr: 0,
             clock: 0,
-            dirty: false,
-            generation: next_cbp_generation(),
         })
     }
 
@@ -332,23 +314,13 @@ impl Cbp {
         self.ghr
     }
 
-    /// The content-generation stamp; same contract as
-    /// [`crate::Btb::generation`]. Every update restamps — a direction
-    /// outcome shifts the history register, which changes where every
-    /// subsequent prediction indexes, so there is no BTB-style
-    /// "verbatim retrain" fast path.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     fn set_range(&self, idx: usize) -> std::ops::Range<usize> {
         let base = idx * self.scheme.ways;
         base..base + self.scheme.ways
     }
 
     /// Predicted direction for a conditional at `pc` under the current
-    /// history. Pure: no counter, LRU or history state is touched, so
-    /// trace replay may re-issue predictions freely.
+    /// history. Pure: no counter, LRU or history state is touched.
     pub fn predict(&self, pc: VirtAddr) -> bool {
         let idx = self.scheme.index_of(pc, self.ghr);
         let tag = self.scheme.tag_of(pc);
@@ -408,16 +380,10 @@ impl Cbp {
         entry.lru = clock;
         let hist_mask = (1u64 << self.scheme.history_bits).wrapping_sub(1);
         self.ghr = ((self.ghr << 1) | u64::from(taken)) & hist_mask;
-        self.dirty = true;
-        self.generation = next_cbp_generation();
     }
 
     /// Reset every counter, allocation and the history register (IBPB).
-    /// Restamps the generation only when there was content to lose.
     pub fn flush(&mut self) {
-        if self.dirty {
-            self.generation = next_cbp_generation();
-        }
         let reset = CbpEntry {
             tag: 0,
             counter: self.scheme.reset_counter(),
@@ -427,7 +393,6 @@ impl Cbp {
         self.entries.fill(reset);
         self.ghr = 0;
         self.clock = 0;
-        self.dirty = false;
     }
 
     /// Entries holding trained content: allocated ways for tagged
@@ -458,10 +423,6 @@ impl PredictorState for Cbp {
 
     fn live_entries(&self) -> usize {
         self.len()
-    }
-
-    fn generation(&self) -> u64 {
-        Cbp::generation(self)
     }
 
     fn flush(&mut self) {
@@ -563,39 +524,6 @@ mod tests {
             cbp.update(a, true);
         }
         assert!(cbp.predict(b), "out-of-place training through the alias");
-    }
-
-    #[test]
-    fn generation_restamps_on_update_and_dirty_flush() {
-        let mut cbp = Cbp::new(CbpScheme::legacy());
-        let g0 = cbp.generation();
-        cbp.flush();
-        assert_eq!(cbp.generation(), g0, "clean flush keeps the stamp");
-        cbp.update(pc(0x1000), true);
-        let g1 = cbp.generation();
-        assert_ne!(g0, g1, "update restamps (history shifted)");
-        cbp.flush();
-        let g2 = cbp.generation();
-        assert_ne!(g1, g2, "dirty flush restamps");
-        cbp.flush();
-        assert_eq!(cbp.generation(), g2);
-    }
-
-    #[test]
-    fn generation_values_are_never_reused_across_clones() {
-        let mut live = Cbp::new(CbpScheme::legacy());
-        live.update(pc(0x1000), true);
-        let snap = live.clone();
-        assert_eq!(live.generation(), snap.generation());
-        live.update(pc(0x1000), true);
-        let diverged = live.generation();
-        live = snap.clone();
-        live.update(pc(0x1000), true);
-        assert_ne!(
-            live.generation(),
-            diverged,
-            "same retrain after a rewind draws a fresh stamp"
-        );
     }
 
     #[test]

@@ -103,8 +103,8 @@ impl Bpu {
     }
 
     /// Every predictor structure behind one introspection interface —
-    /// attacks and reports that read predictor state (occupancy,
-    /// generations) iterate this instead of special-casing the BTB.
+    /// attacks and reports that read predictor state (occupancy)
+    /// iterate this instead of special-casing the BTB.
     pub fn predictor_states(&self) -> [&dyn PredictorState; 2] {
         [&self.btb, &self.cbp]
     }
@@ -238,33 +238,6 @@ impl Bpu {
             }
         }
         None
-    }
-
-    /// Whether [`predict_window`](Bpu::predict_window) over the same
-    /// span could serve *any* prediction: a visible BTB hit exists
-    /// (direction/RSB handling aside). Non-perturbing — consumers
-    /// memoizing "this window predicts nothing" (the pipeline's trace
-    /// engine) revalidate with this without popping the RSB or touching
-    /// any counter.
-    pub fn window_has_visible_hit(
-        &self,
-        base: VirtAddr,
-        window: u64,
-        level: PrivilegeLevel,
-        thread: u8,
-    ) -> bool {
-        self.first_visible_hit(base, window, level, thread)
-            .is_some()
-    }
-
-    /// The BTB's content-generation stamp; see [`Btb::generation`].
-    pub fn btb_generation(&self) -> u64 {
-        self.btb.generation()
-    }
-
-    /// The CBP's content-generation stamp; see [`Cbp::generation`].
-    pub fn cbp_generation(&self) -> u64 {
-        self.cbp.generation()
     }
 
     /// IBPB: flush every prediction structure. "Assuming that IBPB can

@@ -1,9 +1,9 @@
 //! A shared introspection surface over predictor structures.
 //!
-//! The BTB and the CBP are both set-indexed, fold-hashed, generation-
-//! stamped prediction memories; attacks and reports that "read predictor
-//! state" (occupancy scans, flush-and-retrain protocols, generation
-//! watchers) should not care which structure they are pointed at. This
+//! The BTB and the CBP are both set-indexed, fold-hashed prediction
+//! memories; attacks and reports that "read predictor state" (occupancy
+//! scans, flush-and-retrain protocols) should not care which structure
+//! they are pointed at. This
 //! trait is that one interface — [`crate::Btb`] and [`crate::Cbp`] both
 //! implement it, and [`crate::Bpu::predictor_states`] hands back every
 //! structure behind it.
@@ -20,11 +20,6 @@ pub trait PredictorState {
     /// this counts allocated entries; for untagged counter arrays it
     /// counts counters moved off their reset value.
     fn live_entries(&self) -> usize;
-
-    /// The content-generation stamp. Unchanged generation means no
-    /// predictive content has changed; values are process-globally
-    /// unique per content state (see [`crate::Btb::generation`]).
-    fn generation(&self) -> u64;
 
     /// Flush every entry back to reset state (the IBPB path).
     fn flush(&mut self);

@@ -1255,17 +1255,6 @@ pub struct PerfRecord {
     /// recoverable failure). Zero in a healthy run: a nonzero value
     /// means some scenario silently leaned on the retry path.
     pub trial_retries: u64,
-    /// Trace-engine superblock replays fully completed on the trace
-    /// reference workload (the engine is forced on for this workload
-    /// regardless of `PHANTOM_TRACE_CACHE`, so the counter is identical
-    /// in trace-on and trace-off runs).
-    pub trace_hits: u64,
-    /// Trace-engine replays abandoned before the block end on the trace
-    /// reference workload.
-    pub trace_bailouts: u64,
-    /// Trace blocks invalidated for staleness on the trace reference
-    /// workload.
-    pub trace_invalidations: u64,
     /// Boots served from an existing template by the boot-cache
     /// reference workload (an isolated cache, so the counter is
     /// identical whatever `PHANTOM_BOOT_CACHE` says about the global
@@ -1321,12 +1310,6 @@ impl PerfRecord {
                 JsonValue::Uint(self.restore_frames_copied),
             )
             .set("trial_retries", JsonValue::Uint(self.trial_retries))
-            .set("trace_hits", JsonValue::Uint(self.trace_hits))
-            .set("trace_bailouts", JsonValue::Uint(self.trace_bailouts))
-            .set(
-                "trace_invalidations",
-                JsonValue::Uint(self.trace_invalidations),
-            )
             .set("boot_cache_hits", JsonValue::Uint(self.boot_cache_hits))
             .set(
                 "rewind_journal_frames",
@@ -1341,8 +1324,9 @@ impl PerfRecord {
     }
 
     /// Decode from a JSON object. Counters introduced after a baseline
-    /// was recorded parse leniently (absent ⇒ 0) so old baselines keep
-    /// loading.
+    /// was recorded parse leniently (absent ⇒ 0), and keys of retired
+    /// counters (`trace_hits`, `trace_bailouts`, `trace_invalidations`)
+    /// are ignored, so old baselines keep loading.
     ///
     /// # Errors
     ///
@@ -1359,9 +1343,6 @@ impl PerfRecord {
             cow_frames_shared: lenient("cow_frames_shared"),
             restore_frames_copied: lenient("restore_frames_copied"),
             trial_retries: lenient("trial_retries"),
-            trace_hits: lenient("trace_hits"),
-            trace_bailouts: lenient("trace_bailouts"),
-            trace_invalidations: lenient("trace_invalidations"),
             boot_cache_hits: lenient("boot_cache_hits"),
             rewind_journal_frames: lenient("rewind_journal_frames"),
             frame_pool_reuses: lenient("frame_pool_reuses"),
@@ -2028,9 +2009,6 @@ mod tests {
                 cow_frames_shared: 700,
                 restore_frames_copied: 27,
                 trial_retries: 0,
-                trace_hits: 4990,
-                trace_bailouts: 2,
-                trace_invalidations: 1,
                 boot_cache_hits: 2,
                 rewind_journal_frames: 32,
                 frame_pool_reuses: 24,
@@ -2343,9 +2321,6 @@ mod tests {
         assert_eq!(perf.tlb_misses, 0);
         assert_eq!(perf.restore_frames_copied, 0);
         assert_eq!(perf.trial_retries, 0);
-        assert_eq!(perf.trace_hits, 0);
-        assert_eq!(perf.trace_bailouts, 0);
-        assert_eq!(perf.trace_invalidations, 0);
         assert_eq!(perf.boot_cache_hits, 0);
         assert_eq!(perf.rewind_journal_frames, 0);
         assert_eq!(perf.frame_pool_reuses, 0);
@@ -2362,5 +2337,26 @@ mod tests {
                 .all(|r| !r.metric.contains("tlb")),
             "old baseline must not flag tlb"
         );
+    }
+
+    #[test]
+    fn retired_trace_counters_in_a_baseline_parse_and_diff_clean() {
+        // Baselines written while the machine had a trace engine carry
+        // three `trace_*` perf counters. They must still load, and gate
+        // nothing against a snapshot that no longer has them.
+        let current = sample_snapshot();
+        let mut doc = current.to_json();
+        if let JsonValue::Object(members) = &mut doc {
+            for (_, perf) in members.iter_mut().filter(|(k, _)| k == "perf") {
+                perf.set("trace_hits", JsonValue::Uint(4990))
+                    .set("trace_bailouts", JsonValue::Uint(2))
+                    .set("trace_invalidations", JsonValue::Uint(1));
+            }
+        }
+        let text = doc.to_pretty_string();
+        assert!(text.contains("\"trace_invalidations\""));
+        let old = BenchSnapshot::from_json_str(&text).expect("old-shape snapshot parses");
+        assert_eq!(old, current);
+        assert!(diff(&old, &current, &Tolerance::default()).is_empty());
     }
 }

@@ -301,8 +301,7 @@ impl PhysMemory {
     ///
     /// Returns the physical page numbers whose contents the rewind
     /// changed (written-since-checkpoint frames, including ones
-    /// zero-tombstoned away) so callers holding content-derived caches
-    /// — decoded traces, for one — can invalidate exactly those frames.
+    /// zero-tombstoned away).
     pub fn restore_from(&mut self, snap: &PhysMemory) -> Vec<u64> {
         debug_assert!(
             snap.frames.keys().all(|k| self.frames.contains_key(k)),
@@ -385,30 +384,6 @@ impl PhysMemory {
         self.journal.extend(copied.iter().map(|&p| (epoch, p)));
         self.restore_frames_copied += copied.len() as u64;
         copied
-    }
-
-    /// Eagerly re-materialize private copies of `pages` (host-side
-    /// warm-fork optimization): each listed frame that currently shares
-    /// contents with a checkpoint pays its 4 KiB copy now instead of at
-    /// the first guest write. Deliberately does **not** count
-    /// `cow_faults` — no guest write happened — so callers must keep it
-    /// out of counter-reference workloads.
-    pub fn prewarm(&mut self, pages: &[u64]) {
-        for &page in pages {
-            let Some(frame) = self.frames.get_mut(&page) else {
-                continue;
-            };
-            if Arc::strong_count(&frame.data) > 1 || Arc::weak_count(&frame.data) > 0 {
-                let mut fresh = match self.pool.take() {
-                    Some(buf) => buf,
-                    None => Arc::new([0u8; PAGE_SIZE as usize]),
-                };
-                Arc::get_mut(&mut fresh)
-                    .expect("pooled frames are exclusively owned")
-                    .copy_from_slice(&frame.data[..]);
-                frame.data = fresh;
-            }
-        }
     }
 
     /// A fully independent copy: every frame's contents are duplicated
@@ -830,19 +805,6 @@ mod tests {
         assert_eq!(m.pool.len(), 1);
         let clone = m.clone();
         assert_eq!(clone.pool.len(), 0, "pooled buffers are never shared");
-    }
-
-    #[test]
-    fn prewarm_unshares_without_counting_cow_faults() {
-        let mut m = PhysMemory::new(64 * PAGE_SIZE);
-        m.write_u8(PhysAddr::new(0), 5);
-        let snap = m.snapshot();
-        m.prewarm(&[0]);
-        assert_eq!(m.cow_faults(), 0);
-        m.write_u8(PhysAddr::new(0), 6); // already private: no fault
-        assert_eq!(m.cow_faults(), 0);
-        m.restore_from(&snap);
-        assert_eq!(m.read_u8(PhysAddr::new(0)), 5);
     }
 
     #[test]

@@ -101,28 +101,12 @@ impl Machine {
 
     /// Run until halt or `max_steps`.
     ///
-    /// The hot loop first offers the remaining step budget to the trace
-    /// engine (`Machine::try_trace_step`); a recorded superblock
-    /// replays several instructions in one call with bit-identical
-    /// observable state, and any condition replay can't honor bails
-    /// back here to the generic [`Machine::step`].
-    ///
     /// # Errors
     ///
     /// Propagates the first [`MachineError`] from [`Machine::step`].
     pub fn run(&mut self, max_steps: u64) -> Result<RunExit, MachineError> {
-        let mut steps = 0u64;
-        while steps < max_steps {
-            if let Some(replay) = self.try_trace_step(max_steps - steps)? {
-                steps += replay.steps;
-                if replay.halted {
-                    return Ok(RunExit::Halted);
-                }
-                continue;
-            }
-            let out = self.step()?;
-            steps += 1;
-            if out.halted {
+        for _ in 0..max_steps {
+            if self.step()?.halted {
                 return Ok(RunExit::Halted);
             }
         }
@@ -130,8 +114,6 @@ impl Machine {
     }
 
     /// Run, collecting every transient report produced on the way.
-    /// Trace-replayed spans contribute their reports in program order,
-    /// exactly as the equivalent [`Machine::step`] sequence would.
     ///
     /// # Errors
     ///
@@ -141,18 +123,8 @@ impl Machine {
         max_steps: u64,
     ) -> Result<(RunExit, Vec<TransientReport>), MachineError> {
         let mut reports = Vec::new();
-        let mut steps = 0u64;
-        while steps < max_steps {
-            if let Some(mut replay) = self.try_trace_step(max_steps - steps)? {
-                steps += replay.steps;
-                reports.append(&mut replay.transients);
-                if replay.halted {
-                    return Ok((RunExit::Halted, reports));
-                }
-                continue;
-            }
+        for _ in 0..max_steps {
             let out = self.step()?;
-            steps += 1;
             if let Some(t) = out.transient {
                 reports.push(t);
             }

@@ -78,7 +78,7 @@ impl DecodeCache {
     }
 }
 
-pub(super) fn level_tag(level: PrivilegeLevel) -> u8 {
+fn level_tag(level: PrivilegeLevel) -> u8 {
     match level {
         PrivilegeLevel::User => 0,
         PrivilegeLevel::Supervisor => 1,
@@ -116,36 +116,12 @@ impl Machine {
         Some(pair)
     }
 
-    /// Invalidate cached decodes (and overlapping trace blocks) if the
-    /// write to `pa` hits a frame that backs one (self-modifying code);
-    /// data writes don't pay.
+    /// Invalidate cached decodes if the write to `pa` hits a frame that
+    /// backs one (self-modifying code); data writes don't pay.
     #[inline]
     pub(super) fn note_code_write(&mut self, pa: PhysAddr) {
         if self.decode_cache.code_frames.contains(&pa.page_number()) {
             self.decode_cache.invalidate();
-        }
-        self.trace_note_code_write(pa);
-    }
-
-    /// Decode-cache accounting for a trace-replayed µop. The replay
-    /// already holds the validated `(inst, len)` for `pc`, so a present
-    /// entry is a plain hit; an absent one goes through the real miss
-    /// path (`cached_decode`) so counters, entries and code frames
-    /// evolve exactly as a generic step's decode would.
-    pub(super) fn replay_decode_account(&mut self, pc: VirtAddr, inst: Inst, len: u64) {
-        if !self.decode_cache.enabled {
-            return;
-        }
-        let key = (pc.raw(), level_tag(self.level));
-        if self.decode_cache.entries.contains_key(&key) {
-            self.decode_cache.hits += 1;
-        } else {
-            let _decoded = self.cached_decode(pc);
-            debug_assert_eq!(
-                _decoded,
-                Some((inst, len)),
-                "validated trace block disagrees with a fresh decode"
-            );
         }
     }
 

@@ -178,13 +178,11 @@ impl Machine {
             }
             page = page + PAGE_SIZE;
         }
-        // No decode/trace invalidation: mapping *fresh* (zero) pages
-        // cannot change any successful decode — a decoded instruction
-        // depends only on its own bytes (decoding is prefix-closed, so
-        // newly readable bytes past a former truncation point can't
+        // No decode invalidation: mapping *fresh* (zero) pages cannot
+        // change any successful decode — a decoded instruction depends
+        // only on its own bytes (decoding is prefix-closed, so newly
+        // readable bytes past a former truncation point can't
         // reinterpret it), and those bytes' translations are unchanged.
-        // Trace blocks additionally revalidate against the page-table
-        // version bump on their next lookup.
         Ok(())
     }
 
@@ -235,12 +233,11 @@ impl Machine {
     /// Chunks that match the current contents byte-for-byte are skipped
     /// entirely: no write, no copy-on-write fault, no cache
     /// invalidation. Re-poking identical setup bytes every trial (the
-    /// campaign training loop does) therefore keeps decoded state —
-    /// decode cache, trace blocks — warm, soundly: their validity is a
-    /// pure function of the bytes and translations, both unchanged.
-    /// Chunks that *do* change go through `note_code_write`-style
-    /// frame-precise invalidation of the decode and trace caches (the
-    /// self-modifying-code hook in `decode.rs`).
+    /// campaign training loop does) therefore keeps the decode cache
+    /// warm, soundly: its validity is a pure function of the bytes and
+    /// translations, both unchanged. Chunks that *do* change go through
+    /// `note_code_write`-style frame-precise invalidation of the decode
+    /// cache (the self-modifying-code hook in `decode.rs`).
     ///
     /// # Panics
     ///

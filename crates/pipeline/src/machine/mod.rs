@@ -23,7 +23,6 @@ mod execute;
 mod fetch;
 mod memory;
 mod snapshot;
-mod trace;
 mod wrongpath;
 
 pub use snapshot::{Checkpoint, MachineSnapshot};
@@ -166,18 +165,8 @@ pub struct Machine {
     /// Memoized `(pc, privilege) → (inst, len)` decodes; timing- and
     /// event-invisible (see [`decode`]).
     decode_cache: decode::DecodeCache,
-    /// Recorded hot superblocks replayed straight-line by the run loop;
-    /// timing- and event-invisible like the decode cache (see
-    /// [`trace`]).
-    trace_cache: trace::TraceCache,
-    /// Host-side warm-fork toggle: eagerly re-materialize the frames a
-    /// rewind copied (they are exactly the previous trial's dirty set,
-    /// so the next trial almost certainly writes them again). Timing-
-    /// and counter-invisible; defaults off.
-    warm_fork: bool,
     /// Probe-arena re-arms (see `phantom_sidechannel::ProbeArena`):
-    /// host instrumentation, deliberately preserved across [`restore`]
-    /// like the trace/decode caches' stats.
+    /// host instrumentation, deliberately preserved across [`restore`].
     ///
     /// [`restore`]: Machine::restore
     probe_rearms: u64,
@@ -221,15 +210,6 @@ impl Machine {
             halted: false,
             bus: EventBus::new(),
             decode_cache: decode::DecodeCache::new(),
-            // Trace replay defaults on; `PHANTOM_TRACE_CACHE=0` forces
-            // it off for A/B runs (results are bit-identical either
-            // way — see the parity gate in CI).
-            trace_cache: trace::TraceCache::new(
-                std::env::var("PHANTOM_TRACE_CACHE").map_or(true, |v| v != "0"),
-            ),
-            // Warm forks default off: the canonical bench and campaign
-            // paths never enable them, so A/B arms stay comparable.
-            warm_fork: std::env::var("PHANTOM_WARM_FORK").is_ok_and(|v| v != "0"),
             probe_rearms: 0,
         }
     }
@@ -343,14 +323,6 @@ impl Machine {
         &self.phys
     }
 
-    /// Enable or disable warm forks: when on, a rewind eagerly
-    /// re-materializes private copies of exactly the frames it copied
-    /// back, flattening the cold-step CoW tail of the next trial.
-    /// Contents, timing and guest-visible counters are unaffected.
-    pub fn set_warm_fork(&mut self, enabled: bool) {
-        self.warm_fork = enabled;
-    }
-
     /// Probe-arena re-arms performed on this machine (its forks start
     /// from the fork point's count; rewinds preserve it).
     pub fn probe_rearms(&self) -> u64 {
@@ -365,10 +337,9 @@ impl Machine {
     }
 
     /// Physical memory, mutably. Conservatively invalidates the decode
-    /// and trace caches: raw writes could rewrite code bytes.
+    /// cache: raw writes could rewrite code bytes.
     pub fn phys_mut(&mut self) -> &mut PhysMemory {
         self.decode_cache.invalidate();
-        self.trace_invalidate_all();
         &mut self.phys
     }
 
@@ -378,11 +349,10 @@ impl Machine {
     }
 
     /// The page table, mutably (the §6.2 PTE-flag tricks).
-    /// Conservatively invalidates the decode and trace caches: mapping
-    /// or flag changes can alter what decodes.
+    /// Conservatively invalidates the decode cache: mapping or flag
+    /// changes can alter what decodes.
     pub fn page_table_mut(&mut self) -> &mut PageTable {
         self.decode_cache.invalidate();
-        self.trace_invalidate_all();
         &mut self.page_table
     }
 
@@ -506,6 +476,13 @@ impl Machine {
     /// identical either way, only host wall-clock changes.
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
         self.decode_cache.set_enabled(enabled);
+    }
+
+    /// Always `(0, 0, 0)`: the machine has no trace engine. Kept only
+    /// because the `perfbench` benchmark package still calls it; the
+    /// next change to that benchmark removes the call and this method.
+    pub fn trace_stats(&self) -> (u64, u64, u64) {
+        (0, 0, 0)
     }
 }
 

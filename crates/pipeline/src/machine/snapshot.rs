@@ -71,16 +71,7 @@ impl Machine {
         self.caches.restore_from(&s.caches);
         self.uop_cache.restore_from(&s.uop_cache);
         self.pmu = s.pmu.clone();
-        // The rewind hands back the frames it copied; recorded trace
-        // blocks whose code bytes live in one of them are stale.
-        let copied_frames = self.phys.restore_from(&s.phys);
-        self.trace_invalidate_frames(&copied_frames);
-        if self.warm_fork {
-            // The copied frames are the previous trial's dirty set —
-            // the next trial's writes land on the same pages, so pay
-            // their CoW copies here instead of inside the first steps.
-            self.phys.prewarm(&copied_frames);
-        }
+        self.phys.restore_from(&s.phys);
         self.page_table = s.page_table.clone();
         self.tlb = s.tlb.clone();
         self.regs = s.regs;
@@ -99,10 +90,6 @@ impl Machine {
         // `self.bus` deliberately untouched: sinks are observation
         // state, not machine state.
         self.decode_cache = s.decode_cache.clone();
-        // `self.trace_cache` deliberately kept (minus the frame
-        // invalidations above): blocks are stamped with globally unique
-        // page-table/BTB stamps, so survivors revalidate against the
-        // restored content instead of being rebuilt every rewind.
     }
 
     /// Seal the machine into a thread-shareable [`Checkpoint`] and

@@ -1081,7 +1081,7 @@ fn consecutive_fetch_faults_report_the_most_recent_fault() {
 }
 
 // ---------------------------------------------------------------------
-// Trace engine: self-modifying-code coherence and bit-identity.
+// Self-modifying code and snapshot rewinds through `step()`.
 // ---------------------------------------------------------------------
 
 /// Record every pipeline event verbatim (cycle stamps included), for
@@ -1097,7 +1097,7 @@ impl crate::events::EventSink for RecordEvents {
 /// mid-run: call `f` (returns 1 in r0) 24 times accumulating into r3,
 /// overwrite `f`'s immediate with 2 through an architectural store,
 /// call it 24 more times, halt. Correct final r3 is 24*1 + 24*2 = 72 —
-/// any stale decode or stale trace block yields 48.
+/// any stale decode yields 48.
 fn self_modifying_program(m: &mut Machine) {
     let f_addr = 0x40_0200u64;
     let mut patch = Vec::new();
@@ -1193,14 +1193,14 @@ fn self_modifying_program(m: &mut Machine) {
 }
 
 #[test]
-fn smc_over_a_hot_traced_loop_stays_coherent_and_bit_identical() {
-    // The self-modifying program must (a) observe its own store — both
-    // the decode cache and the trace cache drop the patched code — and
-    // (b) produce a byte-identical event stream, cycle count and PMU
-    // state whether the trace engine is on or off.
-    let run = |trace: bool| {
+fn smc_invalidates_the_decode_cache_and_stays_bit_identical() {
+    // The self-modifying program must (a) observe its own store — the
+    // decode cache drops the patched code — and (b) produce a
+    // byte-identical event stream, cycle count and PMU state whether
+    // the decode cache is on or off.
+    let run = |cached: bool| {
         let mut m = machine(UarchProfile::zen2());
-        m.set_trace_cache_enabled(trace);
+        m.set_decode_cache_enabled(cached);
         self_modifying_program(&mut m);
         let id = m.attach_sink(RecordEvents(Vec::new()));
         assert_eq!(m.run(100_000).unwrap(), RunExit::Halted);
@@ -1210,88 +1210,77 @@ fn smc_over_a_hot_traced_loop_stays_coherent_and_bit_identical() {
             m.cycles(),
             m.pmu().clone(),
             events,
-            m.trace_stats(),
+            m.decode_cache_stats(),
         )
     };
     let (r3_off, cycles_off, pmu_off, events_off, stats_off) = run(false);
     let (r3_on, cycles_on, pmu_on, events_on, stats_on) = run(true);
 
-    assert_eq!(r3_off, 72, "untraced machine observes the patch");
-    assert_eq!(r3_on, 72, "traced machine observes the patch");
+    assert_eq!(r3_off, 72, "uncached machine observes the patch");
+    assert_eq!(r3_on, 72, "cached machine observes the patch");
     assert_eq!(cycles_off, cycles_on, "cycle-identical");
     assert_eq!(pmu_off, pmu_on, "PMU-identical");
     assert_eq!(events_off, events_on, "event-stream-identical");
-    assert_eq!(stats_off, (0, 0, 0), "disabled engine never counts");
-    let (hits, _bailouts, invalidations) = stats_on;
-    assert!(hits > 0, "hot loops replayed from the trace cache");
-    assert!(
-        invalidations >= 1,
-        "the store over f invalidated its trace block"
-    );
+    assert_eq!(stats_off, (0, 0), "disabled cache never counts");
+    assert!(stats_on.0 > 0, "hot loops hit the decode cache");
 }
 
 #[test]
-fn trace_engine_is_invisible_across_snapshot_restore() {
-    // Snapshot mid-loop, run on, rewind, run to completion — with the
-    // trace engine on and off. Registers, cycles, PMU and the full
-    // event stream must match bit for bit; the surviving trace blocks
-    // revalidate against the restored memory rather than replaying
-    // stale state.
-    let run = |trace: bool| {
-        let mut m = machine(UarchProfile::zen2());
-        m.set_trace_cache_enabled(trace);
-        let mut a = Assembler::new(0x40_0000);
-        a.push(Inst::MovImm {
-            dst: Reg::R0,
-            imm: 0,
-        });
-        a.push(Inst::MovImm {
-            dst: Reg::R1,
-            imm: 1,
-        });
-        a.push(Inst::MovImm {
-            dst: Reg::R2,
-            imm: 64,
-        });
-        a.label("loop_top");
-        a.push(Inst::Alu {
-            op: phantom_isa::inst::AluOp::Add,
-            dst: Reg::R0,
-            src: Reg::R1,
-        });
-        a.push(Inst::Cmp {
-            a: Reg::R0,
-            b: Reg::R2,
-        });
-        a.jb("loop_top");
-        a.push(Inst::Halt);
-        let blob = load_user(&mut m, &a);
-        m.set_pc(VirtAddr::new(blob.base));
+fn rewind_then_run_matches_running_on_from_the_snapshot() {
+    // Snapshot mid-loop, diverge, rewind and run to halt. Registers,
+    // cycles, PMU and the event stream from the rewind on must match a
+    // machine that ran on from the same snapshot without diverging.
+    let mut m = machine(UarchProfile::zen2());
+    let mut a = Assembler::new(0x40_0000);
+    a.push(Inst::MovImm {
+        dst: Reg::R0,
+        imm: 0,
+    });
+    a.push(Inst::MovImm {
+        dst: Reg::R1,
+        imm: 1,
+    });
+    a.push(Inst::MovImm {
+        dst: Reg::R2,
+        imm: 64,
+    });
+    a.label("loop_top");
+    a.push(Inst::Alu {
+        op: phantom_isa::inst::AluOp::Add,
+        dst: Reg::R0,
+        src: Reg::R1,
+    });
+    a.push(Inst::Cmp {
+        a: Reg::R0,
+        b: Reg::R2,
+    });
+    a.jb("loop_top");
+    a.push(Inst::Halt);
+    let blob = load_user(&mut m, &a);
+    m.set_pc(VirtAddr::new(blob.base));
+    m.run(40).unwrap(); // get the loop hot
+    let snap = m.snapshot();
 
+    let finish = |m: &mut Machine| {
         let id = m.attach_sink(RecordEvents(Vec::new()));
-        m.run(40).unwrap(); // get the loop hot
-        let snap = m.snapshot();
-        m.run(50).unwrap(); // diverge past the checkpoint
-        m.restore(&snap);
         assert_eq!(m.run(100_000).unwrap(), RunExit::Halted);
         let events = m.detach_sink_as::<RecordEvents>(id).unwrap().0;
-        (
-            m.reg(Reg::R0),
-            m.cycles(),
-            m.pmu().clone(),
-            events,
-            m.trace_stats(),
-        )
+        (m.reg(Reg::R0), m.cycles(), m.pmu().clone(), events)
     };
-    let (r0_off, cycles_off, pmu_off, events_off, _) = run(false);
-    let (r0_on, cycles_on, pmu_on, events_on, stats_on) = run(true);
-    assert_eq!(r0_off, 64);
-    assert_eq!(r0_on, 64);
-    assert_eq!(cycles_off, cycles_on, "cycle-identical across rewind");
-    assert_eq!(pmu_off, pmu_on, "PMU-identical across rewind");
+    let mut straight = m.clone();
+    let (r0_straight, cycles_straight, pmu_straight, events_straight) = finish(&mut straight);
+
+    m.run(50).unwrap(); // diverge past the checkpoint
+    m.restore(&snap);
+    let (r0, cycles, pmu, events) = finish(&mut m);
+
+    assert_eq!(r0_straight, 64);
+    assert_eq!(r0, 64);
+    assert_eq!(cycles, cycles_straight, "cycle-identical across rewind");
+    assert_eq!(pmu, pmu_straight, "PMU-identical across rewind");
     assert_eq!(
-        events_off, events_on,
+        events, events_straight,
         "event-stream-identical across rewind"
     );
-    assert!(stats_on.0 > 0, "the hot loop replayed from the trace cache");
+    assert!(!events.is_empty());
 }
