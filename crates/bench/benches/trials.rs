@@ -1,11 +1,8 @@
 //! End-to-end trials/sec for the campaign hot loop. The measured unit
 //! is [`campaign::run_job`] — boot, checkpoint, fork, rewind-per-bit,
 //! adaptive decode — i.e. exactly what a campaign spends its time on.
-//! The default mix is A/B'd across the host-throughput paths; both
-//! arms produce byte-identical campaign records, only host wall-clock
-//! differs. Also prints a steady-state stepping rate and a per-phase
-//! wall breakdown (not timed benchmarks). Numbers are recorded in
-//! `EXPERIMENTS.md`.
+//! Also prints a steady-state stepping rate and a per-phase wall
+//! breakdown (not timed benchmarks).
 
 use std::time::Instant;
 
@@ -20,7 +17,7 @@ use phantom_isa::{Inst, Reg};
 use phantom_kernel::System;
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::Machine;
-use phantom_sidechannel::{NoiseModel, PrimeProbe, ProbeArena, ProbeLevel};
+use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel};
 
 /// The default campaign grid (all uarches × both channels × all noise
 /// points) scaled to criterion-iteration size by lowering bits per job.
@@ -52,129 +49,76 @@ fn bench_per_scenario(c: &mut Criterion) {
     group.finish();
 }
 
-/// The host-throughput toggles: boot-image cache, persistent probe
-/// arenas, journaled rewind, frame pool. All read per use (boot-cache
-/// per cached boot, arena at scenario setup, journal/pool at machine
-/// construction), so flipping them between arms A/Bs the paths end to
-/// end.
-const THROUGHPUT_VARS: [&str; 4] = [
-    "PHANTOM_BOOT_CACHE",
-    "PHANTOM_PROBE_ARENA",
-    "PHANTOM_REWIND_JOURNAL",
-    "PHANTOM_FRAME_POOL",
-];
-
-fn set_throughput_arm(fast: bool) {
-    for var in THROUGHPUT_VARS {
-        std::env::set_var(var, if fast { "1" } else { "0" });
-    }
-}
-
-fn clear_throughput_arm() {
-    for var in THROUGHPUT_VARS {
-        std::env::remove_var(var);
-    }
-}
-
 /// The whole default mix — every job in the default grid at 8 bits per
-/// job — as one iteration, A/B'ing the host-throughput paths (boot
-/// cache + probe arena + rewind journal + frame pool) together. Both
-/// arms produce byte-identical campaign records (the CI
-/// `trial-throughput` job `cmp`s them); only host wall-clock differs.
+/// job — as one iteration.
 fn bench_throughput_mix(c: &mut Criterion) {
     let cfg = mix(8);
     let jobs = campaign::jobs(&cfg);
     let mut group = c.benchmark_group("trials/throughput_mix");
     group.sample_size(10);
     group.throughput(Throughput::Elements(cfg.total_trials() as u64));
-    for fast in [false, true] {
-        let id = if fast { "fast=on" } else { "fast=off" };
-        group.bench_function(BenchmarkId::from_parameter(id), |b| {
-            set_throughput_arm(fast);
-            let runner = TrialRunner::with_threads(1);
-            b.iter(|| {
-                for job in &jobs {
-                    campaign::run_job(&runner, &cfg, job).expect("job runs");
-                }
-            });
+    group.bench_function("default", |b| {
+        let runner = TrialRunner::with_threads(1);
+        b.iter(|| {
+            for job in &jobs {
+                campaign::run_job(&runner, &cfg, job).expect("job runs");
+            }
         });
-    }
+    });
     group.finish();
-    clear_throughput_arm();
 }
 
-/// Per-phase wall breakdown of one Fetch-channel trial loop, printed
-/// for both arms: boot (cold `System::new` vs warm cached boot), fork
-/// (checkpoint), and per-trial rewind / probe-map / step. Not a timed
-/// criterion benchmark — the phases are measured independently with
-/// `Instant` so the table shows *where* the trial budget goes (the
-/// Amdahl table in EXPERIMENTS.md comes from this).
+/// Per-phase wall breakdown of one Fetch-channel trial loop: boot
+/// (warm cached boot), fork (checkpoint), and per-trial rewind /
+/// probe re-arm / step. Not a timed criterion benchmark — the phases
+/// are measured independently with `Instant` so the line shows *where*
+/// the trial budget goes.
 fn report_phase_breakdown(_c: &mut Criterion) {
     const TRIALS: u32 = 64;
     const PROBE_SET: usize = 43;
-    for fast in [false, true] {
-        set_throughput_arm(fast);
-        let seed = 0x7aceu64 ^ 0xc0de;
-        if fast {
-            // Build the (zen2, 1 GiB) template untimed: the boot row
-            // reports the steady-state (warm-cache) cost.
-            drop(System::new_cached(UarchProfile::zen2(), 1 << 30, seed));
-        }
+    let seed = 0x7aceu64 ^ 0xc0de;
+    // Build the (zen2, 1 GiB) template untimed: the boot row reports
+    // the steady-state (warm-cache) cost.
+    drop(System::new_cached(UarchProfile::zen2(), 1 << 30, seed));
+    let t = Instant::now();
+    let mut sys = System::new_cached(UarchProfile::zen2(), 1 << 30, seed).expect("system boots");
+    let boot = t.elapsed().as_secs_f64();
+
+    let attacker = VirtAddr::new(0x5000_0000);
+    let arena =
+        ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I).expect("arena installs");
+    let cfg = PrimitiveConfig::for_system(&sys, attacker).with_arena(arena);
+    let victim = sys.image().listing1_nop;
+    let t1 = sys.image().base + 0x2000 + (PROBE_SET as u64) * 64;
+
+    let t = Instant::now();
+    let snap = sys.machine_mut().checkpoint();
+    let fork = t.elapsed().as_secs_f64();
+
+    let mut noise = NoiseModel::quiet(seed);
+    let (mut rewind, mut map, mut step) = (0.0f64, 0.0f64, 0.0f64);
+    for _ in 0..TRIALS {
         let t = Instant::now();
-        let mut sys =
-            System::new_cached(UarchProfile::zen2(), 1 << 30, seed).expect("system boots");
-        let boot = t.elapsed().as_secs_f64();
-
-        let attacker = VirtAddr::new(0x5000_0000);
-        let arena = fast.then(|| {
-            ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I)
-                .expect("arena installs")
-        });
-        let mut cfg = PrimitiveConfig::for_system(&sys, attacker);
-        if let Some(arena) = arena {
-            cfg = cfg.with_arena(arena);
-        }
-        let victim = sys.image().listing1_nop;
-        let t1 = sys.image().base + 0x2000 + (PROBE_SET as u64) * 64;
-
+        snap.rewind(sys.machine_mut());
+        rewind += t.elapsed().as_secs_f64();
+        // The probe re-arm phase in isolation.
         let t = Instant::now();
-        let snap = sys.machine_mut().checkpoint();
-        let fork = t.elapsed().as_secs_f64();
-
-        let mut noise = NoiseModel::quiet(seed);
-        let (mut rewind, mut map, mut step) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..TRIALS {
-            let t = Instant::now();
-            snap.rewind(sys.machine_mut());
-            rewind += t.elapsed().as_secs_f64();
-            // The probe-mapping phase in isolation: re-arm over the
-            // standing arena vs map a fresh eviction set.
-            let t = Instant::now();
-            let probe = match arena {
-                Some(arena) => arena.arm(sys.machine_mut(), PROBE_SET).expect("arena arms"),
-                None => {
-                    PrimeProbe::new_l1i(sys.machine_mut(), attacker, PROBE_SET).expect("probe maps")
-                }
-            };
-            map += t.elapsed().as_secs_f64();
-            drop(probe);
-            let t = Instant::now();
-            p1_probe_scored(&mut sys, &cfg, victim, t1, &mut noise).expect("probe runs");
-            step += t.elapsed().as_secs_f64();
-        }
-        let per = 1e6 / TRIALS as f64;
-        println!(
-            "phase-breakdown {}: boot {:.2} ms, fork {:.2} ms, per-trial rewind {:.1} us, \
-             map {:.1} us, step {:.1} us",
-            if fast { "fast" } else { "legacy" },
-            boot * 1e3,
-            fork * 1e3,
-            rewind * per,
-            map * per,
-            step * per,
-        );
+        drop(arena.arm(sys.machine_mut(), PROBE_SET).expect("arena arms"));
+        map += t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        p1_probe_scored(&mut sys, &cfg, victim, t1, &mut noise).expect("probe runs");
+        step += t.elapsed().as_secs_f64();
     }
-    clear_throughput_arm();
+    let per = 1e6 / TRIALS as f64;
+    println!(
+        "phase-breakdown: boot {:.2} ms, fork {:.2} ms, per-trial rewind {:.1} us, \
+         re-arm {:.1} us, step {:.1} us",
+        boot * 1e3,
+        fork * 1e3,
+        rewind * per,
+        map * per,
+        step * per,
+    );
 }
 
 /// Steady-state stepping rate: the same straight-line hot loop the

@@ -127,10 +127,6 @@ flags (serve):
                       are re-run; the final file is byte-identical to
                       an uninterrupted run
   --bits <n>          bits per transfer, i.e. trials per job (default 256)
-  --ab                instead of the grid, run one representative job
-                      twice — forking the post-boot checkpoint per
-                      trial vs re-booting per trial — and print both
-                      wall-clocks
 
 flags (bench; --json also implies bench when given alone):
   --json <path>       snapshot output path (default BENCH_phantom.json)
@@ -570,7 +566,6 @@ struct ServeFlags {
     resume: Option<std::path::PathBuf>,
     bits: Option<usize>,
     seed: u64,
-    ab: bool,
 }
 
 /// The campaign service: expand the job grid, skip what a `--resume`
@@ -596,20 +591,6 @@ fn serve(
         cfg.bits = bits;
     }
     cfg.seed = sf.seed;
-
-    if sf.ab {
-        let bits = cfg.bits.min(64);
-        eprintln!("[serve --ab: {bits}-bit zen2 fetch transfer, quiet noise, both arms]");
-        let ab = campaign::ab_compare(r, bits, cfg.seed)?;
-        println!(
-            "fork-per-trial: {:.3}s   boot-per-trial: {:.3}s   ({:.1}x slower)   accuracy {:.4} in both arms",
-            ab.fork_secs,
-            ab.boot_secs,
-            ab.speedup(),
-            ab.accuracy
-        );
-        return Ok(());
-    }
 
     let jobs = campaign::jobs(&cfg);
     let (skip, prefix) = match &sf.resume {
@@ -807,7 +788,6 @@ fn main() {
         resume: None,
         bits: None,
         seed: 0,
-        ab: false,
     };
     let mut serve_flag_given: Option<&'static str> = None;
     // --out/--seed are shared by serve and discover; --corpus is
@@ -882,10 +862,6 @@ fn main() {
                 }
                 shared_flag_given = Some("--seed");
             }
-            "--ab" => {
-                serve_flags.ab = true;
-                serve_flag_given = Some("--ab");
-            }
             "--uarch" => {
                 let v = args.next().unwrap_or_else(|| missing("--uarch"));
                 uarch_names.extend(v.split(',').map(|s| s.trim().to_string()));
@@ -894,6 +870,8 @@ fn main() {
                 let v = args.next().unwrap_or_else(|| missing("--spec"));
                 spec_paths.push(v.into());
             }
+            "--help" => positional.push(arg),
+            other if other.starts_with("--") => usage_error(&format!("unknown flag {other:?}")),
             other => positional.push(other.to_string()),
         }
     }
@@ -979,9 +957,9 @@ fn main() {
         match positional.get(i) {
             None => default,
             Some(s) => match s.parse() {
-                Ok(n) => n,
-                Err(_) => usage_error(&format!(
-                    "invalid count {s:?} for {}: expected a non-negative integer",
+                Ok(n) if n >= 1 => n,
+                _ => usage_error(&format!(
+                    "invalid count {s:?} for {}: expected a positive integer",
                     positional[0]
                 )),
             },

@@ -59,10 +59,41 @@ fn bad_workers_exits_2_with_usage() {
 }
 
 #[test]
+fn zero_or_garbage_positional_count_exits_2_with_usage() {
+    let json = tmp("zero-count.json");
+    let json = json.to_str().expect("utf-8 temp path");
+    for args in [
+        &["table2", "0"][..],
+        &["mds", "0"][..],
+        &["pht-channel", "0"][..],
+        &["noise-sweep", "0"][..],
+        &["table3", "0"][..],
+        &["discover", "0"][..],
+        &["pht-channel", "0", "--json", json][..],
+        &["table2", "-1"][..],
+        &["table2", "many"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("expected a positive integer"),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed results");
+    }
+    assert!(
+        !std::path::Path::new(json).exists(),
+        "--json written for a zero count"
+    );
+}
+
+#[test]
 fn serve_only_flags_on_other_commands_exit_2_with_usage() {
     for args in [
         &["table2", "--resume", "x.jsonl"][..],
-        &["bench", "--ab"][..],
+        &["bench", "--bits", "8"][..],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -77,6 +108,19 @@ fn serve_only_flags_on_other_commands_exit_2_with_usage() {
     let out = repro(&["table2", "--corpus", "dir"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("only valid with the discover command"));
+}
+
+#[test]
+fn unknown_flags_exit_2_with_usage() {
+    // `--ab` (the retired built-in wall-clock A/B) must not fall
+    // through to a full campaign run.
+    for args in [&["serve", "--ab"][..], &["table2", "--fast"][..]] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
 }
 
 #[test]

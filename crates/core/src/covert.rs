@@ -33,7 +33,7 @@ use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel};
 
 use crate::decode::{decode_adaptive, Decoded, DecoderConfig};
 use crate::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig, PrimitiveError};
-use crate::runner::{BootEveryFork, Scenario, ScenarioError, Trial, TrialRunner};
+use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
 
 /// Which primitive carries the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +131,7 @@ struct ChannelState {
 }
 
 /// One decoded bit and the simulated cycles its trial consumed.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct BitSample {
     correct: bool,
     abstained: bool,
@@ -139,9 +140,23 @@ struct BitSample {
     cycles: u64,
 }
 
+/// Base of the receiver's eviction-set region (the P2 sets sit 2 MiB
+/// above it).
+const ATTACKER: VirtAddr = VirtAddr::new(0x5000_0000);
+
 impl ChannelScenario {
     fn uarch_salt(&self) -> u64 {
         self.profile.name.bytes().map(u64::from).sum::<u64>()
+    }
+
+    /// Boot the receiver's system (through the boot-image cache).
+    fn boot(&self) -> Result<System, PrimitiveError> {
+        let boot_salt = match self.kind {
+            CovertKind::Fetch => 0xc0de,
+            CovertKind::Execute => 0xe8ec,
+        };
+        System::new_cached(self.profile.clone(), 1 << 30, self.config.seed ^ boot_salt)
+            .map_err(|e| PrimitiveError(e.to_string()))
     }
 }
 
@@ -156,35 +171,21 @@ impl Scenario for ChannelScenario {
     }
 
     fn setup(&self) -> Result<ChannelState, ScenarioError> {
-        let boot_salt = match self.kind {
-            CovertKind::Fetch => 0xc0de,
-            CovertKind::Execute => 0xe8ec,
-        };
-        let mut sys =
-            System::new_cached(self.profile.clone(), 1 << 30, self.config.seed ^ boot_salt)
-                .map_err(|e| PrimitiveError(e.to_string()))?;
-        let attacker = VirtAddr::new(0x5000_0000);
-        let mut cfg = PrimitiveConfig::for_system(&sys, attacker);
+        let mut sys = self.boot()?;
         // Standing probe mapping, installed *before* the checkpoint so
         // every trial re-arms it in place instead of re-mapping the
         // eviction buffer. Installing here consumes exactly the
         // physical frames the first per-trial mapping would have, so
         // trial-visible addresses — and therefore trial outputs — are
-        // unchanged (the determinism suite and the CI trial-throughput
-        // A/B pin this). `PHANTOM_PROBE_ARENA=0` falls back to mapping
-        // per probe.
-        if std::env::var("PHANTOM_PROBE_ARENA").map_or(true, |v| v != "0") {
-            let arena = match self.kind {
-                CovertKind::Fetch => {
-                    ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I)
-                }
-                CovertKind::Execute => {
-                    ProbeArena::install(sys.machine_mut(), attacker + 0x20_0000, ProbeLevel::L1D)
-                }
+        // unchanged (`probe_arena_matches_per_probe_mapping` pins this).
+        let arena = match self.kind {
+            CovertKind::Fetch => ProbeArena::install(sys.machine_mut(), ATTACKER, ProbeLevel::L1I),
+            CovertKind::Execute => {
+                ProbeArena::install(sys.machine_mut(), ATTACKER + 0x20_0000, ProbeLevel::L1D)
             }
-            .map_err(|e| PrimitiveError(e.to_string()))?;
-            cfg = cfg.with_arena(arena);
         }
+        .map_err(|e| PrimitiveError(e.to_string()))?;
+        let cfg = PrimitiveConfig::for_system(&sys, ATTACKER).with_arena(arena);
         let (t1, t0, victim, gadget) = match self.kind {
             CovertKind::Fetch => {
                 // T1: executable kernel text; T0: the same low bits in an
@@ -386,36 +387,6 @@ pub fn fetch_channel_decoded_on(
     )
 }
 
-/// [`fetch_channel_decoded_on`] through the [`BootEveryFork`] adapter:
-/// every trial re-boots and re-trains the system instead of forking the
-/// post-boot checkpoint. Decoded bits and accuracy are identical to the
-/// forking path by construction — only wall-clock differs. This is the
-/// slow arm of the `repro serve --ab` comparison; never use it for
-/// production sweeps.
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn fetch_channel_boot_per_trial_on(
-    runner: &TrialRunner,
-    profile: UarchProfile,
-    config: CovertConfig,
-    noise: NoiseModel,
-    decoder: DecoderConfig,
-) -> Result<CovertResult, PrimitiveError> {
-    let seed = config.seed;
-    let scenario = BootEveryFork(ChannelScenario {
-        profile,
-        config,
-        kind: CovertKind::Fetch,
-        noise_proto: noise,
-        decoder,
-    });
-    runner
-        .run(&scenario, seed)
-        .map_err(|e| PrimitiveError(e.to_string()))
-}
-
 /// Run the execute (P2) covert channel (meaningful on Zen 1/2).
 ///
 /// # Errors
@@ -516,8 +487,161 @@ pub fn table2_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::{p1_probe_in_set_scored, p2_probe_in_set_scored};
+    use crate::runner::trial_seed;
 
     const SMALL: CovertConfig = CovertConfig { bits: 96, seed: 9 };
+
+    fn scenario(kind: CovertKind, config: CovertConfig) -> ChannelScenario {
+        ChannelScenario {
+            profile: UarchProfile::zen2(),
+            config,
+            kind,
+            noise_proto: NoiseModel::realistic(config.seed),
+            decoder: DecoderConfig::default(),
+        }
+    }
+
+    #[test]
+    fn probe_arena_matches_per_probe_mapping() {
+        // Reference: the same receiver boot with no arena, so every
+        // probe maps its eviction set afresh. From the rewound
+        // checkpoint, each trial must measure the same thing either way.
+        for kind in [CovertKind::Fetch, CovertKind::Execute] {
+            let scenario = scenario(kind, CovertConfig { bits: 16, seed: 4 });
+            let mut armed = scenario.setup().unwrap();
+            assert!(armed.cfg.arena.is_some());
+            let mut plain = scenario.boot().unwrap();
+            let plain_cfg = PrimitiveConfig::for_system(&plain, ATTACKER);
+            let plain_snap = plain.machine_mut().checkpoint();
+            for index in 0..16 {
+                let seed = trial_seed(scenario.config.seed, index);
+                let target = if index % 2 == 0 { armed.t1 } else { armed.t0 };
+                let set = ((target.raw() >> 6) & 63) as usize;
+                let measure = |sys: &mut System, cfg: &PrimitiveConfig| {
+                    let mut noise = scenario.noise_proto.reseeded(seed);
+                    match kind {
+                        CovertKind::Fetch => {
+                            p1_probe_in_set_scored(sys, cfg, armed.victim, target, set, &mut noise)
+                        }
+                        CovertKind::Execute => p2_probe_in_set_scored(
+                            sys,
+                            cfg,
+                            armed.victim,
+                            armed.gadget,
+                            target,
+                            set,
+                            &mut noise,
+                        ),
+                    }
+                    .unwrap()
+                };
+                armed.snap.rewind(armed.sys.machine_mut());
+                plain_snap.rewind(plain.machine_mut());
+                let with_arena = measure(&mut armed.sys, &armed.cfg);
+                let without = measure(&mut plain, &plain_cfg);
+                assert_eq!(with_arena, without, "{kind} trial {index}");
+                assert_eq!(armed.sys.machine().cycles(), plain.machine().cycles());
+            }
+        }
+    }
+
+    /// Reports a channel transfer's per-bit samples instead of scoring
+    /// them.
+    struct PerBit(ChannelScenario);
+
+    impl Scenario for PerBit {
+        type State = ChannelState;
+        type Checkpoint = ChannelState;
+        type Sample = BitSample;
+        type Output = Vec<BitSample>;
+
+        fn trials(&self) -> usize {
+            self.0.trials()
+        }
+
+        fn setup(&self) -> Result<ChannelState, ScenarioError> {
+            self.0.setup()
+        }
+
+        fn checkpoint(&self, state: ChannelState) -> Result<ChannelState, ScenarioError> {
+            self.0.checkpoint(state)
+        }
+
+        fn fork(&self, checkpoint: &ChannelState) -> Result<ChannelState, ScenarioError> {
+            self.0.fork(checkpoint)
+        }
+
+        fn probe(
+            &self,
+            state: &mut ChannelState,
+            trial: Trial,
+        ) -> Result<BitSample, ScenarioError> {
+            self.0.probe(state, trial)
+        }
+
+        fn score(&self, samples: Vec<BitSample>) -> Vec<BitSample> {
+            samples
+        }
+    }
+
+    /// Defeats checkpoint reuse: every fork re-runs the wrapped
+    /// scenario's `setup` + `train` from scratch, as a runner without
+    /// checkpoints would.
+    struct BootEveryFork<S>(S);
+
+    impl<S: Scenario> Scenario for BootEveryFork<S> {
+        type State = S::State;
+        type Checkpoint = ();
+        type Sample = S::Sample;
+        type Output = S::Output;
+
+        fn trials(&self) -> usize {
+            self.0.trials()
+        }
+
+        fn setup(&self) -> Result<S::State, ScenarioError> {
+            self.0.setup()
+        }
+
+        fn checkpoint(&self, _state: S::State) -> Result<(), ScenarioError> {
+            Ok(())
+        }
+
+        fn fork(&self, (): &()) -> Result<S::State, ScenarioError> {
+            let mut state = self.0.setup()?;
+            self.0.train(&mut state)?;
+            Ok(state)
+        }
+
+        fn probe(&self, state: &mut S::State, trial: Trial) -> Result<S::Sample, ScenarioError> {
+            self.0.probe(state, trial)
+        }
+
+        fn score(&self, samples: Vec<S::Sample>) -> S::Output {
+            self.0.score(samples)
+        }
+    }
+
+    #[test]
+    fn forking_decodes_the_same_bits_as_booting_every_fork() {
+        // The fork contract: a fork of the post-boot checkpoint is the
+        // state a fresh boot would reach.
+        let config = CovertConfig { bits: 16, seed: 7 };
+        let runner = TrialRunner::with_threads(4);
+        let forked = runner
+            .run(&PerBit(scenario(CovertKind::Fetch, config)), config.seed)
+            .unwrap();
+        let booted = runner
+            .run(
+                &BootEveryFork(PerBit(scenario(CovertKind::Fetch, config))),
+                config.seed,
+            )
+            .unwrap();
+        assert_eq!(forked.len(), 16);
+        assert!(forked.iter().filter(|s| s.correct).count() >= 14);
+        assert_eq!(forked, booted);
+    }
 
     #[test]
     fn fetch_channel_is_accurate_on_all_zen() {

@@ -1256,17 +1256,14 @@ pub struct PerfRecord {
     /// means some scenario silently leaned on the retry path.
     pub trial_retries: u64,
     /// Boots served from an existing template by the boot-cache
-    /// reference workload (an isolated cache, so the counter is
-    /// identical whatever `PHANTOM_BOOT_CACHE` says about the global
-    /// one).
+    /// reference workload (an isolated cache, so the counter does not
+    /// depend on how many boots the global one served).
     pub boot_cache_hits: u64,
     /// Dirty frames the journaled rewind visited on the
-    /// snapshot/restore reference workload (the journal is forced on
-    /// for this workload regardless of `PHANTOM_REWIND_JOURNAL`).
+    /// snapshot/restore reference workload.
     pub rewind_journal_frames: u64,
     /// Retired frame buffers the pool recycled into copy-on-write
-    /// copies on the snapshot/restore reference workload (pool forced
-    /// on regardless of `PHANTOM_FRAME_POOL`).
+    /// copies on the snapshot/restore reference workload.
     pub frame_pool_reuses: u64,
     /// Probes re-armed over a standing arena mapping by the probe-arena
     /// reference workload.
@@ -1360,13 +1357,6 @@ pub struct HostMeta {
     pub threads: u64,
     /// Host wall-clock per experiment, `(name, seconds)`.
     pub wall_seconds: Vec<(String, f64)>,
-    /// Wall-clock A/B of the decode cache on the reference workload:
-    /// `(enabled seconds, disabled seconds)`.
-    pub decode_cache_wall: Option<(f64, f64)>,
-    /// Wall-clock A/B of checkpoint/rewind on the reference workload:
-    /// `(copy-on-write seconds, deep-copy seconds)` for the same
-    /// snapshot + dirty + restore loop.
-    pub snapshot_wall: Option<(f64, f64)>,
 }
 
 impl HostMeta {
@@ -1387,22 +1377,11 @@ impl HostMeta {
                     .collect(),
             ),
         );
-        if let Some((on, off)) = self.decode_cache_wall {
-            let mut w = JsonValue::object();
-            w.set("enabled_seconds", JsonValue::Float(on))
-                .set("disabled_seconds", JsonValue::Float(off));
-            o.set("decode_cache_wall", w);
-        }
-        if let Some((cow, deep)) = self.snapshot_wall {
-            let mut w = JsonValue::object();
-            w.set("cow_seconds", JsonValue::Float(cow))
-                .set("deep_seconds", JsonValue::Float(deep));
-            o.set("snapshot_wall", w);
-        }
         o
     }
 
-    /// Decode from a JSON object.
+    /// Decode from a JSON object. Keys of retired host fields
+    /// (`decode_cache_wall`, `snapshot_wall`) are ignored.
     ///
     /// # Errors
     ///
@@ -1413,19 +1392,6 @@ impl HostMeta {
             wall_seconds: vec_from(v, "wall_seconds", |w| {
                 Ok((str_field(w, "experiment")?, f64_field(w, "seconds")?))
             })?,
-            decode_cache_wall: match v.get("decode_cache_wall") {
-                Some(w) if !w.is_null() => Some((
-                    f64_field(w, "enabled_seconds")?,
-                    f64_field(w, "disabled_seconds")?,
-                )),
-                _ => None,
-            },
-            snapshot_wall: match v.get("snapshot_wall") {
-                Some(w) if !w.is_null() => {
-                    Some((f64_field(w, "cow_seconds")?, f64_field(w, "deep_seconds")?))
-                }
-                _ => None,
-            },
         })
     }
 }
@@ -2100,8 +2066,6 @@ mod tests {
         snap.host = Some(HostMeta {
             threads: 8,
             wall_seconds: vec![("table1".into(), 1.25)],
-            decode_cache_wall: Some((0.8, 1.3)),
-            snapshot_wall: Some((0.02, 0.41)),
         });
         let back = BenchSnapshot::from_json_str(&snap.to_json_string()).expect("parses");
         assert_eq!(back, snap);
@@ -2342,19 +2306,42 @@ mod tests {
     #[test]
     fn retired_trace_counters_in_a_baseline_parse_and_diff_clean() {
         // Baselines written while the machine had a trace engine carry
-        // three `trace_*` perf counters. They must still load, and gate
-        // nothing against a snapshot that no longer has them.
-        let current = sample_snapshot();
+        // three `trace_*` perf counters, and host sections written
+        // before the built-in wall-clock A/Bs were retired carry
+        // `decode_cache_wall` / `snapshot_wall`. They must still load,
+        // with those keys ignored, and gate nothing against a snapshot
+        // that no longer has them.
+        let mut current = sample_snapshot();
+        current.host = Some(HostMeta {
+            threads: 2,
+            wall_seconds: vec![("table1".into(), 0.5)],
+        });
         let mut doc = current.to_json();
         if let JsonValue::Object(members) = &mut doc {
-            for (_, perf) in members.iter_mut().filter(|(k, _)| k == "perf") {
-                perf.set("trace_hits", JsonValue::Uint(4990))
-                    .set("trace_bailouts", JsonValue::Uint(2))
-                    .set("trace_invalidations", JsonValue::Uint(1));
+            for (key, section) in members.iter_mut() {
+                if key == "perf" {
+                    section
+                        .set("trace_hits", JsonValue::Uint(4990))
+                        .set("trace_bailouts", JsonValue::Uint(2))
+                        .set("trace_invalidations", JsonValue::Uint(1));
+                } else if key == "host" {
+                    let mut decode = JsonValue::object();
+                    decode
+                        .set("enabled_seconds", JsonValue::Float(0.8))
+                        .set("disabled_seconds", JsonValue::Float(1.3));
+                    let mut snapshot = JsonValue::object();
+                    snapshot
+                        .set("cow_seconds", JsonValue::Float(0.02))
+                        .set("deep_seconds", JsonValue::Float(0.41));
+                    section
+                        .set("decode_cache_wall", decode)
+                        .set("snapshot_wall", snapshot);
+                }
             }
         }
         let text = doc.to_pretty_string();
         assert!(text.contains("\"trace_invalidations\""));
+        assert!(text.contains("\"snapshot_wall\""));
         let old = BenchSnapshot::from_json_str(&text).expect("old-shape snapshot parses");
         assert_eq!(old, current);
         assert!(diff(&old, &current, &Tolerance::default()).is_empty());

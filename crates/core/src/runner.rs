@@ -332,55 +332,6 @@ impl TrialRunner {
     }
 }
 
-/// Adapter that deliberately *defeats* checkpoint reuse: every fork
-/// re-runs the wrapped scenario's `setup` + `train` from scratch, as a
-/// pre-checkpoint runner would have. Samples and scores are unchanged
-/// (the contract requires `fork` to reproduce the post-train state), so
-/// the only observable difference is wall-clock — which is exactly what
-/// the boot-per-trial vs fork-per-trial A/B in `repro serve --ab`
-/// measures.
-#[derive(Debug, Clone, Copy)]
-pub struct BootEveryFork<S>(pub S);
-
-impl<S: Scenario> Scenario for BootEveryFork<S> {
-    type State = S::State;
-    type Checkpoint = ();
-    type Sample = S::Sample;
-    type Output = S::Output;
-
-    fn trials(&self) -> usize {
-        self.0.trials()
-    }
-
-    fn setup(&self) -> Result<Self::State, ScenarioError> {
-        self.0.setup()
-    }
-
-    fn train(&self, state: &mut Self::State) -> Result<(), ScenarioError> {
-        self.0.train(state)
-    }
-
-    fn checkpoint(&self, state: Self::State) -> Result<(), ScenarioError> {
-        // The trained state is discarded; forks rebuild it.
-        drop(state);
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<Self::State, ScenarioError> {
-        let mut state = self.0.setup()?;
-        self.0.train(&mut state)?;
-        Ok(state)
-    }
-
-    fn probe(&self, state: &mut Self::State, trial: Trial) -> Result<Self::Sample, ScenarioError> {
-        self.0.probe(state, trial)
-    }
-
-    fn score(&self, samples: Vec<Self::Sample>) -> Self::Output {
-        self.0.score(samples)
-    }
-}
-
 /// Derive the seed for trial `index` from the run's base seed. A pure
 /// function of its arguments (SplitMix64 over both), so per-trial
 /// randomness never depends on worker count or claim order.

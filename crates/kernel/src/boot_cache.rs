@@ -27,9 +27,10 @@
 //! end-to-end; the campaign determinism suite pins it at the
 //! trial-output level.
 //!
-//! The cache is process-global behind [`System::new_cached`] and can be
-//! disabled with `PHANTOM_BOOT_CACHE=0`; per-instance [`BootCache`]
-//! values serve tests and counter plumbing that need isolation.
+//! The cache is process-global behind [`System::new_cached`], which
+//! always uses it; per-instance [`BootCache`] values serve tests and
+//! counter plumbing that need isolation. [`System::new`] stays the
+//! uncached reference boot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
