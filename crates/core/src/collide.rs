@@ -14,10 +14,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use phantom_bpu::{Btb, BtbScheme};
-use phantom_gf2::{recover_functions, RecoveredFunction, RecoveryConfig};
-use phantom_isa::BranchKind;
-use phantom_mem::{PrivilegeLevel, VirtAddr};
+use phantom_bpu::BtbScheme;
+use phantom_gf2::{recover_functions, RecoveredFunction, RecoveryConfig, Syndrome};
+use phantom_mem::VirtAddr;
 
 /// A behavioural collision oracle: "does training a branch at `user`
 /// make the predictor serve it at `kernel`?" — what the paper measures
@@ -27,35 +26,42 @@ pub trait CollisionOracle {
     fn collides(&mut self, user: VirtAddr, kernel: VirtAddr) -> bool;
 }
 
-/// A fast oracle over a bare BTB: train-at-user then lookup-at-kernel,
-/// resetting the structure each trial. Behaviourally identical to the
-/// full-system probe but orders of magnitude faster, which matters
-/// because random collisions occur at rate `2^-12`.
+/// The BTB's same-privilege alias test, answered in closed form.
+///
+/// `collides(u, k)` is what flushing a bare [`Btb`](phantom_bpu::Btb)
+/// of this scheme, training a branch at `u` and looking up `k` reports:
+/// the flushed BTB holds only the entry just trained, so the lookup hits
+/// exactly when `u` and `k` share their page offset and fold signature.
+/// Fold signatures are linear, so that is `(u ^ k) & 0xfff == 0` and a
+/// zero fold syndrome of `u ^ k`, evaluated byte-sliced
+/// ([`Syndrome`]). Random collisions occur at rate `2^-rank` (`2^-13`
+/// for the Zen 3/4 family, `2^-12` for Zen 1/2), so collecting 32 of
+/// them takes ~10⁵ candidates and the per-candidate cost is the whole
+/// price.
+///
+/// Like [`Btb::lookup`](phantom_bpu::Btb::lookup), the test ignores the
+/// scheme's privilege tagging and associativity: it answers whether the
+/// two addresses alias, not whether a user-trained entry would be served
+/// in kernel mode on a privilege-tagged (Intel) part.
 #[derive(Debug)]
 pub struct BtbOracle {
-    btb: Btb,
+    syndrome: Syndrome,
 }
 
 impl BtbOracle {
-    /// Oracle over the given BTB scheme.
+    /// Oracle over the given BTB scheme's fold family.
     pub fn new(scheme: BtbScheme) -> BtbOracle {
+        let masks: Vec<u64> = scheme.family.fns().iter().map(|f| f.mask).collect();
         BtbOracle {
-            btb: Btb::new(scheme),
+            syndrome: Syndrome::new(&masks),
         }
     }
 }
 
 impl CollisionOracle for BtbOracle {
     fn collides(&mut self, user: VirtAddr, kernel: VirtAddr) -> bool {
-        self.btb.flush();
-        self.btb.train(
-            user,
-            BranchKind::Indirect,
-            VirtAddr::new(0x30_0000),
-            PrivilegeLevel::User,
-            0,
-        );
-        self.btb.lookup(kernel).is_some()
+        let d = user.raw() ^ kernel.raw();
+        d & 0xfff == 0 && self.syndrome.eval(d) == 0
     }
 }
 
@@ -196,8 +202,138 @@ pub fn collision_pattern(functions: &[RecoveredFunction]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_bpu::Btb;
+    use phantom_gf2::BitMatrix;
+    use phantom_isa::BranchKind;
+    use phantom_mem::PrivilegeLevel;
+    use phantom_pipeline::spec::mutate::mutate_spec;
+    use phantom_pipeline::spec::UarchSpec;
+    use proptest::prelude::*;
 
     const K: u64 = 0xffff_ffff_8124_6ac0;
+
+    /// The reference [`BtbOracle`] must agree with: flush a bare BTB,
+    /// train a branch at `user`, look `kernel` up.
+    struct BareBtbOracle {
+        btb: Btb,
+    }
+
+    impl BareBtbOracle {
+        fn new(scheme: BtbScheme) -> BareBtbOracle {
+            BareBtbOracle {
+                btb: Btb::new(scheme),
+            }
+        }
+    }
+
+    impl CollisionOracle for BareBtbOracle {
+        fn collides(&mut self, user: VirtAddr, kernel: VirtAddr) -> bool {
+            self.btb.flush();
+            self.btb.train(
+                user,
+                BranchKind::Indirect,
+                VirtAddr::new(0x30_0000),
+                PrivilegeLevel::User,
+                0,
+            );
+            self.btb.lookup(kernel).is_some()
+        }
+    }
+
+    /// The distinct BTB schemes of the builtin specs (Zen 1/2, Zen 3/4
+    /// and the privilege-tagged Intel scheme), then mutants of the
+    /// builtins whose BTB differs from their base's. The flag marks the
+    /// builtins, whose folds are known to admit user addresses colliding
+    /// with the kernel-half `K`.
+    fn schemes() -> Vec<(BtbScheme, bool)> {
+        let builtins = UarchSpec::builtins();
+        let mut out: Vec<(BtbScheme, bool)> = Vec::new();
+        for spec in &builtins {
+            let scheme = spec.btb.scheme();
+            if !out.iter().any(|(s, _)| *s == scheme) {
+                out.push((scheme, true));
+            }
+        }
+        assert_eq!(out.len(), 3, "zen12, zen34 and intel");
+        assert!(out.iter().any(|(s, _)| s.privilege_tagged));
+        let mutants = (0u64..).filter_map(|seed| {
+            let base = &builtins[seed as usize % builtins.len()];
+            mutate_spec(base, seed).filter(|m| m.btb != base.btb)
+        });
+        out.extend(mutants.take(6).map(|m| (m.btb.scheme(), false)));
+        out
+    }
+
+    /// Vectors over bits 12–63 that every fold of `scheme` annihilates.
+    fn alias_basis(scheme: &BtbScheme) -> Vec<u64> {
+        let masks: Vec<u64> = scheme.family.fns().iter().map(|f| f.mask).collect();
+        BitMatrix::from_rows(64, &masks)
+            .orthogonal_basis()
+            .into_iter()
+            .filter(|v| v & 0xfff == 0)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The closed-form oracle answers exactly what the bare BTB
+        /// does, on every scheme, for random pairs (which almost never
+        /// collide) and for pairs built from the folds' alias basis
+        /// (which collide unless the page offsets differ).
+        #[test]
+        fn btb_oracle_matches_the_bare_btb(
+            kernel in any::<u64>(),
+            random in any::<u64>(),
+            picks in any::<u64>(),
+            offset in 1u64..0x1000,
+            mode in 0u8..4,
+        ) {
+            for (scheme, _) in schemes() {
+                let alias = alias_basis(&scheme)
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| picks >> (i % 64) & 1 == 1)
+                    .fold(0, |d, (_, v)| d ^ v);
+                let user = match mode {
+                    0 => random,
+                    1 => random & !0xfff | kernel & 0xfff,
+                    2 => kernel ^ alias,
+                    _ => kernel ^ alias ^ offset,
+                };
+                let (u, k) = (VirtAddr::new(user), VirtAddr::new(kernel));
+                let fast = BtbOracle::new(scheme.clone()).collides(u, k);
+                prop_assert_eq!(fast, BareBtbOracle::new(scheme).collides(u, k));
+                if mode == 2 {
+                    prop_assert!(fast, "an alias-basis delta must collide");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn collected_collisions_match_the_bare_btb() {
+        for (scheme, builtin) in schemes() {
+            let mut victims = vec![0x40_0ac0];
+            if builtin {
+                victims.push(K);
+            }
+            for victim in victims {
+                for seed in 0..8 {
+                    let v = VirtAddr::new(victim);
+                    let fast = collect_collisions(&mut BtbOracle::new(scheme.clone()), v, 4, seed);
+                    let bare =
+                        collect_collisions(&mut BareBtbOracle::new(scheme.clone()), v, 4, seed);
+                    assert_eq!(
+                        fast,
+                        bare,
+                        "{} victim {victim:#x} seed {seed}",
+                        scheme.summary()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn brute_force_fails_on_zen34_small_budgets() {

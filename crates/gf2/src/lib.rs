@@ -25,9 +25,11 @@
 
 pub mod matrix;
 pub mod recover;
+pub mod syndrome;
 
 pub use matrix::BitMatrix;
 pub use recover::{recover_functions, RecoveredFunction, RecoveryConfig};
+pub use syndrome::Syndrome;
 
 #[cfg(test)]
 mod proptests;

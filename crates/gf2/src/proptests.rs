@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use crate::matrix::{parity, BitMatrix};
 use crate::recover::{recover_functions, verify_functions, RecoveryConfig};
+use crate::syndrome::Syndrome;
 
 proptest! {
     /// rank <= min(rows, cols), and appending a dependent row never
@@ -97,6 +98,30 @@ proptest! {
                     prop_assert!(rec.in_row_space(planted));
                 }
             }
+        }
+    }
+
+    /// The byte-sliced syndrome is the per-row parity, bit for bit, on
+    /// arbitrary words, on their bits ≥ 48 alone, and on every unit
+    /// vector.
+    #[test]
+    fn syndrome_matches_per_row_parity(
+        rows in proptest::collection::vec(any::<u64>(), 1..33),
+        xs in proptest::collection::vec(any::<u64>(), 1..16),
+    ) {
+        let s = Syndrome::new(&rows);
+        let want = |x: u64| {
+            rows.iter()
+                .enumerate()
+                .fold(0u32, |acc, (i, &r)| acc | (parity(x & r) as u32) << i)
+        };
+        for &x in &xs {
+            prop_assert_eq!(s.eval(x), want(x));
+            let high = x & 0xffff_0000_0000_0000;
+            prop_assert_eq!(s.eval(high), want(high));
+        }
+        for b in 0..64 {
+            prop_assert_eq!(s.eval(1 << b), want(1 << b));
         }
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end checks for the discover fuzzer: the committed regression
 //! corpus replays green, the JSONL report is byte-identical at any
-//! worker count, and the minimizer's invariants hold under proptest.
+//! worker count and to a committed golden file, and the minimizer's
+//! invariants hold under proptest.
 
 use std::path::PathBuf;
 
@@ -99,6 +100,28 @@ fn discover_jsonl_identical_at_one_and_two_workers() {
         .last()
         .expect("summary line")
         .contains("discover-summary"));
+}
+
+#[test]
+fn discover_jsonl_matches_the_committed_golden_file() {
+    // `repro discover 128 --seed 7 --workers 1` output, committed. It
+    // carries aliased findings, so a flipped GF(2) oracle verdict (or
+    // any other change to a finding) shows up as a byte difference even
+    // when it flips the same way at every worker count.
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/discover-s7-b128.jsonl");
+    let golden = std::fs::read_to_string(&path).expect("golden file reads");
+    let cfg = DiscoverConfig {
+        budget: 128,
+        seed: 7,
+    };
+    let report = run_discover_on(&TrialRunner::with_threads(1), cfg).expect("runs");
+    assert_eq!(
+        discover_jsonl(&report),
+        golden,
+        "discover output drifted from {}",
+        path.display()
+    );
 }
 
 proptest! {
