@@ -8,7 +8,7 @@
 //! when [`BenchConfig::host_meta`] is set, in the `host` section that
 //! the diff ignores.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use phantom::ablation::NoiseSweepConfig;
 use phantom::mitigations::{
@@ -16,9 +16,9 @@ use phantom::mitigations::{
     rsb_stuffing_protection, sls_padding_protection, suppress_overhead_on,
 };
 use phantom::report::json::{
-    BenchSnapshot, CovertRecord, Figure6Record, Figure7Record, GadgetRecord, HostMeta,
-    MdsRunRecord, MdsTableRecord, NoiseSweepRecord, O4Record, O5Record, OverheadRecord, PerfRecord,
-    PhtChannelRecord, PhysAddrRunRecord, PhysAddrTableRecord, RunMeta, SlotRunRecord,
+    BenchSnapshot, CovertRecord, ExperimentWall, Figure6Record, Figure7Record, GadgetRecord,
+    HostMeta, MdsRunRecord, MdsTableRecord, NoiseSweepRecord, O4Record, O5Record, OverheadRecord,
+    PerfRecord, PhtChannelRecord, PhysAddrRunRecord, PhysAddrTableRecord, RunMeta, SlotRunRecord,
     SlotTableRecord, SoftwareRecord, StageFlags, Table1Record,
 };
 use phantom::runner::TrialRunner;
@@ -260,11 +260,17 @@ pub fn collect_snapshot(
     runner: &TrialRunner,
     cfg: &BenchConfig,
 ) -> Result<BenchSnapshot, RunnerError> {
-    let mut wall: Vec<(String, f64)> = Vec::new();
+    let mut wall = Vec::new();
+    let mut note_wall = |experiment: String, took: Duration| {
+        wall.push(ExperimentWall {
+            experiment,
+            seconds: took.as_secs_f64(),
+        });
+    };
 
     let t = timed(runner, |r| run_table1_on(r, cfg.seed))?;
     let table1: Vec<Table1Record> = t.result.iter().map(Table1Record::from).collect();
-    wall.push(("table1".into(), t.wall.as_secs_f64()));
+    note_wall("table1".into(), t.wall);
 
     let step = if cfg.full { 0x40 } else { 0x200 };
     let mut figure6 = Vec::new();
@@ -276,18 +282,18 @@ pub fn collect_snapshot(
             step,
             points: t.result,
         });
-        wall.push((format!("figure6 {name}"), t.wall.as_secs_f64()));
+        note_wall(format!("figure6 {name}"), t.wall);
     }
 
     let samples = if cfg.full { 48 } else { 24 };
     let start = Instant::now();
     let figure7 = Figure7Record::from(&run_figure7(samples, cfg.seed));
-    wall.push(("figure7".into(), start.elapsed().as_secs_f64()));
+    note_wall("figure7".into(), start.elapsed());
 
     let bits = if cfg.full { 4096 } else { 128 };
     let t = timed(runner, |r| run_table2_on(r, bits, cfg.seed))?;
     let table2: Vec<CovertRecord> = t.result.iter().map(CovertRecord::from).collect();
-    wall.push(("table2".into(), t.wall.as_secs_f64()));
+    note_wall("table2".into(), t.wall);
 
     let runs = if cfg.full { 10 } else { 2 };
     let slots = if cfg.full { 0 } else { 16 };
@@ -305,7 +311,7 @@ pub fn collect_snapshot(
             uarch: name.to_string(),
             runs: t.result.iter().map(SlotRunRecord::from).collect(),
         });
-        wall.push((format!("table3 {name}"), t.wall.as_secs_f64()));
+        note_wall(format!("table3 {name}"), t.wall);
     }
 
     let mut table4 = Vec::new();
@@ -318,7 +324,7 @@ pub fn collect_snapshot(
             uarch: name.to_string(),
             runs: t.result.iter().map(SlotRunRecord::from).collect(),
         });
-        wall.push((format!("table4 {name}"), t.wall.as_secs_f64()));
+        note_wall(format!("table4 {name}"), t.wall);
     }
 
     let table5_configs: [(UarchProfile, u64); 2] = if cfg.full {
@@ -343,7 +349,7 @@ pub fn collect_snapshot(
             memory_gib: bytes >> 30,
             runs: t.result.iter().map(PhysAddrRunRecord::from).collect(),
         });
-        wall.push((format!("table5 {name}"), t.wall.as_secs_f64()));
+        note_wall(format!("table5 {name}"), t.wall);
     }
 
     let bytes = if cfg.full { 4096 } else { 32 };
@@ -357,7 +363,7 @@ pub fn collect_snapshot(
             uarch: name.to_string(),
             runs: t.result.iter().map(MdsRunRecord::from).collect(),
         });
-        wall.push((format!("mds {name}"), t.wall.as_secs_f64()));
+        note_wall(format!("mds {name}"), t.wall);
     }
 
     let sweep_cfg = if cfg.full {
@@ -370,12 +376,12 @@ pub fn collect_snapshot(
     };
     let t = timed(runner, |r| run_noise_sweep_on(r, &sweep_cfg))?;
     let noise_sweep: Vec<NoiseSweepRecord> = t.result.iter().map(NoiseSweepRecord::from).collect();
-    wall.push(("noise_sweep".into(), t.wall.as_secs_f64()));
+    note_wall("noise_sweep".into(), t.wall);
 
     let pht_bits = if cfg.full { 4096 } else { 128 };
     let t = timed(runner, |r| run_pht_channel_on(r, pht_bits, cfg.seed + 600))?;
     let pht_channel: Vec<PhtChannelRecord> = t.result.iter().map(PhtChannelRecord::from).collect();
-    wall.push(("pht_channel".into(), t.wall.as_secs_f64()));
+    note_wall("pht_channel".into(), t.wall);
 
     let mut o4 = Vec::new();
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
@@ -420,7 +426,7 @@ pub fn collect_snapshot(
         Ok::<_, RunnerError>(suppress_overhead_on(r, UarchProfile::zen2()))
     })?;
     let overhead = OverheadRecord::from(&t.result);
-    wall.push(("overhead".into(), t.wall.as_secs_f64()));
+    note_wall("overhead".into(), t.wall);
 
     let corpus = phantom::gadgets::generate_corpus(&phantom::gadgets::CorpusConfig::default());
     let gadgets = GadgetRecord::from(&phantom::gadgets::census(&corpus));

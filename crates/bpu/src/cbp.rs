@@ -1,11 +1,12 @@
 //! The conditional-branch predictor (CBP): a set-indexed, history-mixed
 //! table of saturating direction counters.
 //!
-//! Where [`crate::Pht`] is the flat textbook gshare table the seed
-//! shipped, the CBP is spec-driven: the set index and (optional) tag are
-//! GF(2) fold functions over the branch PC *and* the global history
-//! register, and the geometry — index width, associativity, counter
-//! width, history length — is plain data ([`CbpScheme`]). The default
+//! Where the seed shipped a flat textbook gshare table (kept as a
+//! test-only reference model in `pht.rs`), the CBP is spec-driven: the
+//! set index and (optional) tag are GF(2) fold functions over the
+//! branch PC *and* the global history register, and the geometry —
+//! index width, associativity, counter width, history length — is
+//! plain data ([`CbpScheme`]). The default
 //! [`CbpScheme::legacy`] reproduces the seed PHT bit-for-bit; non-x86
 //! schemes (the Apple-M1-style predictor with PC-bit folding that makes
 //! *out-of-place* conditional mistraining possible) are just different

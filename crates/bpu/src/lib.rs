@@ -53,7 +53,6 @@ pub mod btb;
 pub mod cbp;
 pub mod hashfn;
 pub mod msr;
-pub mod pht;
 pub mod predict;
 pub mod rsb;
 pub mod state;
@@ -63,10 +62,11 @@ pub use btb::{Btb, BtbEntry, BtbScheme};
 pub use cbp::{Cbp, CbpScheme, MixedFold};
 pub use hashfn::{parity_fold, FoldFamily, FoldFn};
 pub use msr::MsrState;
-pub use pht::Pht;
 pub use predict::{Bpu, Prediction};
 pub use rsb::Rsb;
 pub use state::PredictorState;
 
+#[cfg(test)]
+mod pht;
 #[cfg(test)]
 mod proptests;

@@ -1,35 +1,15 @@
-//! Pattern History Table: conditional branch direction prediction.
+//! The legacy Pattern History Table: the flat 2-bit-counter gshare
+//! table the BPU predicted conditional branches with before the
+//! spec-driven [`crate::Cbp`] replaced it.
 //!
-//! A classic array of 2-bit saturating counters indexed by a hash of the
-//! branch PC and a global history register. The MDS-gadget exploit of
-//! §7.4 trains the kernel's bounds check (`jcc`) to predict *taken*
-//! before supplying an out-of-bounds index.
-//!
-//! The live BPU no longer routes direction prediction through this
-//! table — the spec-driven [`crate::Cbp`] replaced it (its
-//! [`crate::CbpScheme::legacy`] geometry reproduces this table
-//! bit-for-bit, pinned by a test in `cbp.rs`). `Pht` stays as the flat
-//! reference model that cross-checks the CBP.
+//! Test-only reference model: [`crate::CbpScheme::legacy`] must
+//! reproduce this table bit-for-bit, which a test in `cbp.rs` checks
+//! by driving both with the same outcome stream.
 
 use phantom_mem::VirtAddr;
 
 /// Direction prediction state: 2-bit saturating counters + global
 /// history.
-///
-/// # Examples
-///
-/// ```
-/// use phantom_bpu::Pht;
-/// use phantom_mem::VirtAddr;
-/// let mut pht = Pht::new(1024);
-/// let pc = VirtAddr::new(0x400123);
-/// // Weakly not-taken by default; training "taken" repeatedly saturates
-/// // the counters along the history path.
-/// for _ in 0..12 {
-///     pht.update(pc, true);
-/// }
-/// assert!(pht.predict(pc));
-/// ```
 #[derive(Debug, Clone)]
 pub struct Pht {
     counters: Vec<u8>,
@@ -53,10 +33,8 @@ impl Pht {
         }
     }
 
-    /// Fallible [`Pht::new`] — the `CacheGeometry::try_new` pattern: a
-    /// description of the violated constraint instead of a panic, for
-    /// callers holding user-authored sizes (the uarch spec layer wraps
-    /// the message in a field-named `SpecError`).
+    /// Fallible [`Pht::new`]: a description of the violated constraint
+    /// instead of a panic.
     pub fn try_new(entries: usize) -> Result<Pht, String> {
         if !entries.is_power_of_two() {
             return Err(format!(
@@ -105,11 +83,6 @@ impl Pht {
     /// Number of counters.
     pub fn len(&self) -> usize {
         self.counters.len()
-    }
-
-    /// Whether the table has zero counters (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
     }
 }
 

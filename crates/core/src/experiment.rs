@@ -551,17 +551,19 @@ pub fn table1_on(
         .map_err(|e| ChannelError(e.to_string()))
 }
 
-/// One Figure 6 data point: µop-cache misses observed when C sits at a
-/// given page offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Figure6Point {
-    /// Page offset of the phantom target C.
-    pub offset: u64,
-    /// µop-cache hits when re-running the priming series.
-    pub hits: u64,
-    /// µop-cache misses (the signal: nonzero only at the matching
-    /// offset).
-    pub misses: u64,
+crate::report::json::record! {
+    /// One Figure 6 data point: µop-cache misses observed when C sits at
+    /// a given page offset.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Figure6Point {
+        /// Page offset of the phantom target C.
+        pub offset: u64,
+        /// µop-cache hits when re-running the priming series.
+        pub hits: u64,
+        /// µop-cache misses (the signal: nonzero only at the matching
+        /// offset).
+        pub misses: u64,
+    }
 }
 
 /// The Figure 6 sweep: non-branch victim trained with `jmp*`, target C

@@ -4,12 +4,28 @@
 //!
 //! Every record mirrors one experiment's output with owned fields, so
 //! a snapshot parsed from disk is self-contained (no `&'static str`
-//! interning against the running binary). Serialization is built on
-//! [`JsonValue`]; object member order is
-//! fixed by the `to_json` implementations, which together with the
-//! deterministic writer makes snapshot bytes a pure function of the
-//! results — the determinism suite asserts byte-identity across
-//! thread counts on exactly this property.
+//! interning against the running binary).
+//!
+//! Each record is declared once, through the `record!` macro: one line
+//! per field, from which the struct, `to_json`, `from_json` and the
+//! field's absent-key rule are all derived. Every field type has one
+//! JSON codec (`JsonField`: strings, integers, floats, bools, `Option`,
+//! `Vec` and nested records). `to_json` writes members in declaration
+//! order, which together with the deterministic [`JsonValue`] writer
+//! makes snapshot bytes a pure function of the results — the
+//! determinism suite asserts byte-identity across thread counts on
+//! exactly this property. `from_json` requires every field unless the
+//! field line ends in a marker:
+//!
+//! * `[lenient]` — an absent key decodes as the type's `Default`, so
+//!   baselines recorded before the field existed keep loading. A
+//!   present key of the wrong type is still an error.
+//! * `[optional]` (on an `Option<T>` field) — `None` omits the key, and
+//!   an absent or `null` key decodes as `None`.
+//!
+//! Unknown keys are ignored, so baselines that carry retired fields
+//! keep loading. Decode errors name the path to the bad member, e.g.
+//! `.table2[0].probes: expected a u64`.
 //!
 //! The canonical snapshot contains **only deterministic data**
 //! (simulated cycles, accuracies, counters). Host-volatile facts —
@@ -37,6 +53,18 @@ pub const SCHEMA: &str = "phantom-bench/v1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaError(pub String);
 
+impl SchemaError {
+    /// Prefix the error's member path with `seg` (`.key` or `[i]`).
+    fn at(self, seg: &str) -> SchemaError {
+        let sep = if self.0.starts_with(['.', '[']) {
+            ""
+        } else {
+            ": "
+        };
+        SchemaError(format!("{seg}{sep}{}", self.0))
+    }
+}
+
 impl fmt::Display for SchemaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "snapshot schema error: {}", self.0)
@@ -51,55 +79,190 @@ impl From<ParseError> for SchemaError {
     }
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, SchemaError> {
-    v.get(key)
-        .ok_or_else(|| SchemaError(format!("missing field {key:?}")))
+/// The JSON codec of one record field type.
+pub(crate) trait JsonField: Sized {
+    fn encode(&self) -> JsonValue;
+    fn decode(v: &JsonValue) -> Result<Self, SchemaError>;
 }
 
-fn str_field(v: &JsonValue, key: &str) -> Result<String, SchemaError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a string")))
+macro_rules! scalar_fields {
+    ($($ty:ty => $variant:ident, $get:expr, $what:literal;)*) => {$(
+        impl JsonField for $ty {
+            fn encode(&self) -> JsonValue {
+                JsonValue::$variant(self.to_owned())
+            }
+
+            fn decode(v: &JsonValue) -> Result<$ty, SchemaError> {
+                ($get)(v).ok_or_else(|| SchemaError(concat!("expected ", $what).into()))
+            }
+        }
+    )*};
 }
 
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, SchemaError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a u64")))
+scalar_fields! {
+    String => Str, |v: &JsonValue| v.as_str().map(String::from), "a string";
+    u64 => Uint, JsonValue::as_u64, "a u64";
+    i64 => Int, JsonValue::as_i64, "an i64";
+    f64 => Float, JsonValue::as_f64, "a number";
+    bool => Bool, JsonValue::as_bool, "a bool";
 }
 
-fn i64_field(v: &JsonValue, key: &str) -> Result<i64, SchemaError> {
-    field(v, key)?
-        .as_i64()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not an i64")))
+impl<T: JsonField> JsonField for Vec<T> {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(T::encode).collect())
+    }
+
+    fn decode(v: &JsonValue) -> Result<Vec<T>, SchemaError> {
+        let items = v
+            .as_array()
+            .ok_or_else(|| SchemaError("expected an array".into()))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::decode(item).map_err(|e| e.at(&format!("[{i}]"))))
+            .collect()
+    }
 }
 
-fn f64_field(v: &JsonValue, key: &str) -> Result<f64, SchemaError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a number")))
+/// `None` is `null`. (An `[optional]` record field omits the key
+/// instead.)
+impl<T: JsonField> JsonField for Option<T> {
+    fn encode(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::encode)
+    }
+
+    fn decode(v: &JsonValue) -> Result<Option<T>, SchemaError> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        T::decode(v).map(Some)
+    }
 }
 
-fn bool_field(v: &JsonValue, key: &str) -> Result<bool, SchemaError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a bool")))
+/// Decode the required member `key` of object `v`.
+pub(crate) fn required<T: JsonField>(v: &JsonValue, key: &str) -> Result<T, SchemaError> {
+    let member = v
+        .get(key)
+        .ok_or_else(|| SchemaError("missing".into()).at(&format!(".{key}")))?;
+    T::decode(member).map_err(|e| e.at(&format!(".{key}")))
 }
 
-fn array_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], SchemaError> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not an array")))
+/// Decode the member `key` of object `v`, or `T::default()` if absent.
+pub(crate) fn lenient<T: JsonField + Default>(v: &JsonValue, key: &str) -> Result<T, SchemaError> {
+    match v.get(key) {
+        Some(member) => T::decode(member).map_err(|e| e.at(&format!(".{key}"))),
+        None => Ok(T::default()),
+    }
 }
 
-fn vec_from<T>(
-    v: &JsonValue,
-    key: &str,
-    decode: impl Fn(&JsonValue) -> Result<T, SchemaError>,
-) -> Result<Vec<T>, SchemaError> {
-    array_field(v, key)?.iter().map(decode).collect()
+/// Reject a record that is not a JSON object.
+pub(crate) fn check_object(v: &JsonValue) -> Result<(), SchemaError> {
+    match v {
+        JsonValue::Object(_) => Ok(()),
+        _ => Err(SchemaError("expected an object".into())),
+    }
 }
+
+/// Reject a document whose `schema` member is not `schema`.
+pub(crate) fn check_schema(v: &JsonValue, schema: &str) -> Result<(), SchemaError> {
+    let found: String = required(v, "schema")?;
+    if found != schema {
+        return Err(SchemaError(format!(
+            "unknown schema {found:?} (expected {schema:?})"
+        )));
+    }
+    Ok(())
+}
+
+/// Declare a snapshot record: the struct (doc comments and derives
+/// pass through), `to_json`/`from_json` and its [`JsonField`] codec,
+/// all from one field list. A field line may end in `[lenient]` or
+/// `[optional]` (see the module docs). A leading `schema = EXPR;`
+/// writes a `"schema"` member first and rejects any other value on
+/// decode.
+macro_rules! record {
+    (@encode $o:ident, $key:expr, $val:expr) => {{
+        $o.set($key, $crate::report::json::JsonField::encode(&$val));
+    }};
+    (@encode $o:ident, $key:expr, $val:expr, lenient) => {
+        $crate::report::json::record!(@encode $o, $key, $val)
+    };
+    (@encode $o:ident, $key:expr, $val:expr, optional) => {
+        if let Some(x) = &$val {
+            $crate::report::json::record!(@encode $o, $key, *x)
+        }
+    };
+    (@decode $v:ident, $key:expr) => {
+        $crate::report::json::required($v, $key)?
+    };
+    // `lenient` and `optional` decode alike: an absent key is `Default`,
+    // which for `Option` is `None` (and its codec reads `null` as `None`).
+    (@decode $v:ident, $key:expr, $mode:ident) => {
+        $crate::report::json::lenient($v, $key)?
+    };
+    (
+        $(schema = $schema:expr;)?
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty $([$mode:ident])?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $(
+                $(#[$fmeta])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Encode as a JSON object, members in declaration order.
+            pub fn to_json(&self) -> $crate::report::value::JsonValue {
+                let mut o = $crate::report::value::JsonValue::object();
+                $(o.set("schema", $crate::report::value::JsonValue::Str($schema.into()));)?
+                $($crate::report::json::record!(
+                    @encode o, stringify!($field), self.$field $(, $mode)?
+                );)*
+                o
+            }
+
+            /// Decode from a JSON object.
+            ///
+            /// # Errors
+            ///
+            /// Returns a [`SchemaError`](crate::report::json::SchemaError)
+            /// naming the offending member on a shape mismatch.
+            pub fn from_json(
+                v: &$crate::report::value::JsonValue,
+            ) -> Result<$name, $crate::report::json::SchemaError> {
+                $crate::report::json::check_object(v)?;
+                $($crate::report::json::check_schema(v, $schema)?;)?
+                Ok($name {
+                    $($field: $crate::report::json::record!(
+                        @decode v, stringify!($field) $(, $mode)?
+                    ),)*
+                })
+            }
+        }
+
+        impl $crate::report::json::JsonField for $name {
+            fn encode(&self) -> $crate::report::value::JsonValue {
+                self.to_json()
+            }
+
+            fn decode(
+                v: &$crate::report::value::JsonValue,
+            ) -> Result<$name, $crate::report::json::SchemaError> {
+                $name::from_json(v)
+            }
+        }
+    };
+}
+
+pub(crate) use record;
 
 fn hex_encode(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
@@ -109,61 +272,40 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-fn hex_decode(s: &str) -> Result<Vec<u8>, SchemaError> {
-    if !s.len().is_multiple_of(2) {
-        return Err(SchemaError("odd-length hex string".into()));
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| SchemaError(format!("bad hex byte {:?}", &s[i..i + 2])))
-        })
-        .collect()
-}
-
-/// Run metadata that is part of the canonical (deterministic) output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunMeta {
-    /// Protocol size: `"quick"` or `"full"` (`PHANTOM_FULL=1`).
-    pub profile: String,
-    /// The base seed the experiment seeds derive from.
-    pub seed: u64,
-}
-
-impl RunMeta {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("profile", JsonValue::Str(self.profile.clone()))
-            .set("seed", JsonValue::Uint(self.seed));
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<RunMeta, SchemaError> {
-        Ok(RunMeta {
-            profile: str_field(v, "profile")?,
-            seed: u64_field(v, "seed")?,
-        })
+record! {
+    /// Run metadata that is part of the canonical (deterministic) output.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RunMeta {
+        /// Protocol size: `"quick"` or `"full"` (`PHANTOM_FULL=1`).
+        pub profile: String,
+        /// The base seed the experiment seeds derive from.
+        pub seed: u64,
     }
 }
 
-/// One Table 1 cell: deepest stage per microarchitecture for a
-/// training × victim combination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Table1Record {
-    /// Training instruction (display form, e.g. `"jmp*"`).
-    pub train: String,
-    /// Victim instruction (display form).
-    pub victim: String,
-    /// `(uarch, stage)` pairs in sweep order; stages are `-`, `IF`,
-    /// `ID` or `EX`.
-    pub stages: Vec<(String, String)>,
+record! {
+    /// One Table 1 cell: deepest stage per microarchitecture for a
+    /// training × victim combination.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Table1Record {
+        /// Training instruction (display form, e.g. `"jmp*"`).
+        pub train: String,
+        /// Victim instruction (display form).
+        pub victim: String,
+        /// Deepest stage per microarchitecture, in sweep order.
+        pub stages: Vec<Table1Stage>,
+    }
+}
+
+record! {
+    /// The deepest stage one microarchitecture reached in a Table 1 cell.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Table1Stage {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// `-`, `IF`, `ID` or `EX`.
+        pub stage: String,
+    }
 }
 
 impl From<&Table1Cell> for Table1Record {
@@ -174,117 +316,40 @@ impl From<&Table1Cell> for Table1Record {
             stages: c
                 .stages
                 .iter()
-                .map(|(u, s)| (u.to_string(), s.to_string()))
+                .map(|(u, s)| Table1Stage {
+                    uarch: u.to_string(),
+                    stage: s.to_string(),
+                })
                 .collect(),
         }
     }
 }
 
-impl Table1Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("train", JsonValue::Str(self.train.clone()))
-            .set("victim", JsonValue::Str(self.victim.clone()))
-            .set(
-                "stages",
-                JsonValue::Array(
-                    self.stages
-                        .iter()
-                        .map(|(u, s)| {
-                            let mut cell = JsonValue::object();
-                            cell.set("uarch", JsonValue::Str(u.clone()))
-                                .set("stage", JsonValue::Str(s.clone()));
-                            cell
-                        })
-                        .collect(),
-                ),
-            );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<Table1Record, SchemaError> {
-        Ok(Table1Record {
-            train: str_field(v, "train")?,
-            victim: str_field(v, "victim")?,
-            stages: vec_from(v, "stages", |cell| {
-                Ok((str_field(cell, "uarch")?, str_field(cell, "stage")?))
-            })?,
-        })
+record! {
+    /// One Figure 6 sweep on one microarchitecture.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Figure6Record {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Page-offset step of the sweep.
+        pub step: u64,
+        /// The swept points.
+        pub points: Vec<Figure6Point>,
     }
 }
 
-/// One Figure 6 sweep on one microarchitecture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Figure6Record {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Page-offset step of the sweep.
-    pub step: u64,
-    /// The swept points.
-    pub points: Vec<Figure6Point>,
-}
-
-impl Figure6Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("step", JsonValue::Uint(self.step))
-            .set(
-                "points",
-                JsonValue::Array(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            let mut point = JsonValue::object();
-                            point
-                                .set("offset", JsonValue::Uint(p.offset))
-                                .set("hits", JsonValue::Uint(p.hits))
-                                .set("misses", JsonValue::Uint(p.misses));
-                            point
-                        })
-                        .collect(),
-                ),
-            );
-        o
+record! {
+    /// The Figure 7 recovery: BTB index/tag functions as bit masks.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Figure7Record {
+        /// Collision samples used per kernel address.
+        pub samples_per_address: u64,
+        /// Recovered function masks (bit `i` set ⇔ address bit `i` is an
+        /// input of the XOR).
+        pub masks: Vec<u64>,
+        /// Whether the paper's published XOR patterns hold.
+        pub paper_patterns_hold: bool,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<Figure6Record, SchemaError> {
-        Ok(Figure6Record {
-            uarch: str_field(v, "uarch")?,
-            step: u64_field(v, "step")?,
-            points: vec_from(v, "points", |p| {
-                Ok(Figure6Point {
-                    offset: u64_field(p, "offset")?,
-                    hits: u64_field(p, "hits")?,
-                    misses: u64_field(p, "misses")?,
-                })
-            })?,
-        })
-    }
-}
-
-/// The Figure 7 recovery: BTB index/tag functions as bit masks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Figure7Record {
-    /// Collision samples used per kernel address.
-    pub samples_per_address: u64,
-    /// Recovered function masks (bit `i` set ⇔ address bit `i` is an
-    /// input of the XOR).
-    pub masks: Vec<u64>,
-    /// Whether the paper's published XOR patterns hold.
-    pub paper_patterns_hold: bool,
 }
 
 impl From<&Figure7> for Figure7Record {
@@ -297,68 +362,33 @@ impl From<&Figure7> for Figure7Record {
     }
 }
 
-impl Figure7Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "samples_per_address",
-            JsonValue::Uint(self.samples_per_address),
-        )
-        .set(
-            "masks",
-            JsonValue::Array(self.masks.iter().map(|&m| JsonValue::Uint(m)).collect()),
-        )
-        .set(
-            "paper_patterns_hold",
-            JsonValue::Bool(self.paper_patterns_hold),
-        );
-        o
+record! {
+    /// One Table 2 covert-channel row. The decoder fields (`probes`,
+    /// `abstentions`, `mean_confidence`) are lenient so baselines
+    /// recorded before the adaptive decoder keep loading.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CovertRecord {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Retail part tested in the paper.
+        pub model: String,
+        /// Channel kind (display form: `"fetch (P1)"` / `"execute (P2)"`).
+        pub kind: String,
+        /// Bits transferred.
+        pub bits: u64,
+        /// Fraction decoded correctly.
+        pub accuracy: f64,
+        /// Total probes the adaptive decoder spent.
+        pub probes: u64 [lenient],
+        /// Bits the decoder abstained on.
+        pub abstentions: u64 [lenient],
+        /// Mean decode confidence across the transfer.
+        pub mean_confidence: f64 [lenient],
+        /// Simulated seconds for the transfer.
+        pub seconds: f64,
+        /// Simulated channel rate.
+        pub bits_per_sec: f64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<Figure7Record, SchemaError> {
-        Ok(Figure7Record {
-            samples_per_address: u64_field(v, "samples_per_address")?,
-            masks: array_field(v, "masks")?
-                .iter()
-                .map(|m| {
-                    m.as_u64()
-                        .ok_or_else(|| SchemaError("mask is not a u64".into()))
-                })
-                .collect::<Result<_, _>>()?,
-            paper_patterns_hold: bool_field(v, "paper_patterns_hold")?,
-        })
-    }
-}
-
-/// One Table 2 covert-channel row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CovertRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Retail part tested in the paper.
-    pub model: String,
-    /// Channel kind (display form: `"fetch (P1)"` / `"execute (P2)"`).
-    pub kind: String,
-    /// Bits transferred.
-    pub bits: u64,
-    /// Fraction decoded correctly.
-    pub accuracy: f64,
-    /// Total probes the adaptive decoder spent.
-    pub probes: u64,
-    /// Bits the decoder abstained on.
-    pub abstentions: u64,
-    /// Mean decode confidence across the transfer.
-    pub mean_confidence: f64,
-    /// Simulated seconds for the transfer.
-    pub seconds: f64,
-    /// Simulated channel rate.
-    pub bits_per_sec: f64,
 }
 
 impl From<&CovertResult> for CovertRecord {
@@ -378,77 +408,33 @@ impl From<&CovertResult> for CovertRecord {
     }
 }
 
-impl CovertRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("model", JsonValue::Str(self.model.clone()))
-            .set("kind", JsonValue::Str(self.kind.clone()))
-            .set("bits", JsonValue::Uint(self.bits))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("probes", JsonValue::Uint(self.probes))
-            .set("abstentions", JsonValue::Uint(self.abstentions))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence))
-            .set("seconds", JsonValue::Float(self.seconds))
-            .set("bits_per_sec", JsonValue::Float(self.bits_per_sec));
-        o
+record! {
+    /// One PHT-channel (BranchSpectre-style) row: Table-2-shaped numbers
+    /// for the conditional-branch-predictor channel, plus the
+    /// out-of-place flip the scheme admitted.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhtChannelRecord {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Retail part tested in the paper.
+        pub model: String,
+        /// XOR distance between victim and probe PC.
+        pub flip_mask: u64,
+        /// Bits recovered.
+        pub bits: u64,
+        /// Fraction decoded correctly.
+        pub accuracy: f64,
+        /// Total probes the adaptive decoder spent.
+        pub probes: u64,
+        /// Bits the decoder abstained on.
+        pub abstentions: u64,
+        /// Mean decode confidence across the recovery.
+        pub mean_confidence: f64,
+        /// Simulated seconds for the recovery.
+        pub seconds: f64,
+        /// Simulated channel rate.
+        pub bits_per_sec: f64,
     }
-
-    /// Decode from a JSON object. The decoder fields (`probes`,
-    /// `abstentions`, `mean_confidence`) parse leniently so baselines
-    /// recorded before the adaptive decoder keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<CovertRecord, SchemaError> {
-        Ok(CovertRecord {
-            uarch: str_field(v, "uarch")?,
-            model: str_field(v, "model")?,
-            kind: str_field(v, "kind")?,
-            bits: u64_field(v, "bits")?,
-            accuracy: f64_field(v, "accuracy")?,
-            probes: v.get("probes").and_then(JsonValue::as_u64).unwrap_or(0),
-            abstentions: v
-                .get("abstentions")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            mean_confidence: v
-                .get("mean_confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            seconds: f64_field(v, "seconds")?,
-            bits_per_sec: f64_field(v, "bits_per_sec")?,
-        })
-    }
-}
-
-/// One PHT-channel (BranchSpectre-style) row: Table-2-shaped numbers
-/// for the conditional-branch-predictor channel, plus the
-/// out-of-place flip the scheme admitted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhtChannelRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Retail part tested in the paper.
-    pub model: String,
-    /// XOR distance between victim and probe PC.
-    pub flip_mask: u64,
-    /// Bits recovered.
-    pub bits: u64,
-    /// Fraction decoded correctly.
-    pub accuracy: f64,
-    /// Total probes the adaptive decoder spent.
-    pub probes: u64,
-    /// Bits the decoder abstained on.
-    pub abstentions: u64,
-    /// Mean decode confidence across the recovery.
-    pub mean_confidence: f64,
-    /// Simulated seconds for the recovery.
-    pub seconds: f64,
-    /// Simulated channel rate.
-    pub bits_per_sec: f64,
 }
 
 impl From<&PhtChannelResult> for PhtChannelRecord {
@@ -468,62 +454,27 @@ impl From<&PhtChannelResult> for PhtChannelRecord {
     }
 }
 
-impl PhtChannelRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("model", JsonValue::Str(self.model.clone()))
-            .set("flip_mask", JsonValue::Uint(self.flip_mask))
-            .set("bits", JsonValue::Uint(self.bits))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("probes", JsonValue::Uint(self.probes))
-            .set("abstentions", JsonValue::Uint(self.abstentions))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence))
-            .set("seconds", JsonValue::Float(self.seconds))
-            .set("bits_per_sec", JsonValue::Float(self.bits_per_sec));
-        o
+record! {
+    /// One KASLR-style run: used for both Table 3 (kernel image) and
+    /// Table 4 (physmap), whose result shapes are identical.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlotRunRecord {
+        /// The attacker's best guess.
+        pub guessed_slot: u64,
+        /// Ground truth.
+        pub actual_slot: u64,
+        /// Whether the guess was right.
+        pub correct: bool,
+        /// The winning score.
+        pub best_score: i64,
+        /// How decisively the winner beat the runner-up, in `[0, 1]`
+        /// (lenient: baselines recorded before the field keep loading).
+        pub confidence: f64 [lenient],
+        /// Simulated cycles consumed.
+        pub cycles: u64,
+        /// Simulated seconds consumed.
+        pub seconds: f64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PhtChannelRecord, SchemaError> {
-        Ok(PhtChannelRecord {
-            uarch: str_field(v, "uarch")?,
-            model: str_field(v, "model")?,
-            flip_mask: u64_field(v, "flip_mask")?,
-            bits: u64_field(v, "bits")?,
-            accuracy: f64_field(v, "accuracy")?,
-            probes: u64_field(v, "probes")?,
-            abstentions: u64_field(v, "abstentions")?,
-            mean_confidence: f64_field(v, "mean_confidence")?,
-            seconds: f64_field(v, "seconds")?,
-            bits_per_sec: f64_field(v, "bits_per_sec")?,
-        })
-    }
-}
-
-/// One KASLR-style run: used for both Table 3 (kernel image) and
-/// Table 4 (physmap), whose result shapes are identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotRunRecord {
-    /// The attacker's best guess.
-    pub guessed_slot: u64,
-    /// Ground truth.
-    pub actual_slot: u64,
-    /// Whether the guess was right.
-    pub correct: bool,
-    /// The winning score.
-    pub best_score: i64,
-    /// How decisively the winner beat the runner-up, in `[0, 1]`.
-    pub confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
 }
 
 impl From<&KaslrImageResult> for SlotRunRecord {
@@ -554,49 +505,15 @@ impl From<&PhysmapResult> for SlotRunRecord {
     }
 }
 
-impl SlotRunRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("guessed_slot", JsonValue::Uint(self.guessed_slot))
-            .set("actual_slot", JsonValue::Uint(self.actual_slot))
-            .set("correct", JsonValue::Bool(self.correct))
-            .set("best_score", JsonValue::Int(self.best_score))
-            .set("confidence", JsonValue::Float(self.confidence))
-            .set("cycles", JsonValue::Uint(self.cycles))
-            .set("seconds", JsonValue::Float(self.seconds));
-        o
+record! {
+    /// Table 3 / Table 4 rows for one microarchitecture.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlotTableRecord {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Per-reboot runs.
+        pub runs: Vec<SlotRunRecord>,
     }
-
-    /// Decode from a JSON object. `confidence` parses leniently (absent
-    /// ⇒ 0) so baselines recorded before the field keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<SlotRunRecord, SchemaError> {
-        Ok(SlotRunRecord {
-            guessed_slot: u64_field(v, "guessed_slot")?,
-            actual_slot: u64_field(v, "actual_slot")?,
-            correct: bool_field(v, "correct")?,
-            best_score: i64_field(v, "best_score")?,
-            confidence: v
-                .get("confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            cycles: u64_field(v, "cycles")?,
-            seconds: f64_field(v, "seconds")?,
-        })
-    }
-}
-
-/// Table 3 / Table 4 rows for one microarchitecture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotTableRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Per-reboot runs.
-    pub runs: Vec<SlotRunRecord>,
 }
 
 impl SlotTableRecord {
@@ -612,47 +529,29 @@ impl SlotTableRecord {
     pub fn total_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.cycles).sum()
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone())).set(
-            "runs",
-            JsonValue::Array(self.runs.iter().map(SlotRunRecord::to_json).collect()),
-        );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<SlotTableRecord, SchemaError> {
-        Ok(SlotTableRecord {
-            uarch: str_field(v, "uarch")?,
-            runs: vec_from(v, "runs", SlotRunRecord::from_json)?,
-        })
-    }
 }
 
-/// One Table 5 physical-address search run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysAddrRunRecord {
-    /// The attacker's guess (`None` if the search came up empty).
-    pub guessed_pa: Option<u64>,
-    /// Ground truth.
-    pub actual_pa: u64,
-    /// Whether the guess was right.
-    pub correct: bool,
-    /// Huge-page candidates tested.
-    pub guesses_tested: u64,
-    /// Confidence of the hit reload (0 when the scan came up empty).
-    pub confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
+record! {
+    /// One Table 5 physical-address search run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhysAddrRunRecord {
+        /// The attacker's guess (`None`, written as `null`, if the
+        /// search came up empty).
+        pub guessed_pa: Option<u64>,
+        /// Ground truth.
+        pub actual_pa: u64,
+        /// Whether the guess was right.
+        pub correct: bool,
+        /// Huge-page candidates tested.
+        pub guesses_tested: u64,
+        /// Confidence of the hit reload (0 when the scan came up empty;
+        /// lenient: baselines recorded before the field keep loading).
+        pub confidence: f64 [lenient],
+        /// Simulated cycles consumed.
+        pub cycles: u64,
+        /// Simulated seconds consumed.
+        pub seconds: f64,
+    }
 }
 
 impl From<&PhysAddrResult> for PhysAddrRunRecord {
@@ -669,66 +568,17 @@ impl From<&PhysAddrResult> for PhysAddrRunRecord {
     }
 }
 
-impl PhysAddrRunRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "guessed_pa",
-            match self.guessed_pa {
-                Some(pa) => JsonValue::Uint(pa),
-                None => JsonValue::Null,
-            },
-        )
-        .set("actual_pa", JsonValue::Uint(self.actual_pa))
-        .set("correct", JsonValue::Bool(self.correct))
-        .set("guesses_tested", JsonValue::Uint(self.guesses_tested))
-        .set("confidence", JsonValue::Float(self.confidence))
-        .set("cycles", JsonValue::Uint(self.cycles))
-        .set("seconds", JsonValue::Float(self.seconds));
-        o
+record! {
+    /// Table 5 rows for one (microarchitecture, memory size) pair.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhysAddrTableRecord {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Simulated physical memory, in GiB.
+        pub memory_gib: u64,
+        /// Per-run results.
+        pub runs: Vec<PhysAddrRunRecord>,
     }
-
-    /// Decode from a JSON object. `confidence` parses leniently (absent
-    /// ⇒ 0) so baselines recorded before the field keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PhysAddrRunRecord, SchemaError> {
-        let guessed = field(v, "guessed_pa")?;
-        Ok(PhysAddrRunRecord {
-            guessed_pa: if guessed.is_null() {
-                None
-            } else {
-                Some(
-                    guessed
-                        .as_u64()
-                        .ok_or_else(|| SchemaError("guessed_pa is not a u64".into()))?,
-                )
-            },
-            actual_pa: u64_field(v, "actual_pa")?,
-            correct: bool_field(v, "correct")?,
-            guesses_tested: u64_field(v, "guesses_tested")?,
-            confidence: v
-                .get("confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            cycles: u64_field(v, "cycles")?,
-            seconds: f64_field(v, "seconds")?,
-        })
-    }
-}
-
-/// Table 5 rows for one (microarchitecture, memory size) pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysAddrTableRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Simulated physical memory, in GiB.
-    pub memory_gib: u64,
-    /// Per-run results.
-    pub runs: Vec<PhysAddrRunRecord>,
 }
 
 impl PhysAddrTableRecord {
@@ -744,50 +594,28 @@ impl PhysAddrTableRecord {
     pub fn total_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.cycles).sum()
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("memory_gib", JsonValue::Uint(self.memory_gib))
-            .set(
-                "runs",
-                JsonValue::Array(self.runs.iter().map(PhysAddrRunRecord::to_json).collect()),
-            );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PhysAddrTableRecord, SchemaError> {
-        Ok(PhysAddrTableRecord {
-            uarch: str_field(v, "uarch")?,
-            memory_gib: u64_field(v, "memory_gib")?,
-            runs: vec_from(v, "runs", PhysAddrRunRecord::from_json)?,
-        })
-    }
 }
 
-/// One §7.4 MDS leak run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MdsRunRecord {
-    /// The leaked bytes, hex-encoded.
-    pub leaked_hex: String,
-    /// Fraction recovered exactly.
-    pub accuracy: f64,
-    /// Whether any signal was observed.
-    pub signal: bool,
-    /// Mean confidence of the per-byte hit reloads.
-    pub mean_confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
-    /// Simulated leak rate.
-    pub bytes_per_sec: f64,
+record! {
+    /// One §7.4 MDS leak run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MdsRunRecord {
+        /// The leaked bytes, hex-encoded.
+        pub leaked_hex: String,
+        /// Fraction recovered exactly.
+        pub accuracy: f64,
+        /// Whether any signal was observed.
+        pub signal: bool,
+        /// Mean confidence of the per-byte hit reloads (lenient:
+        /// baselines recorded before the field keep loading).
+        pub mean_confidence: f64 [lenient],
+        /// Simulated cycles consumed.
+        pub cycles: u64,
+        /// Simulated seconds consumed.
+        pub seconds: f64,
+        /// Simulated leak rate.
+        pub bytes_per_sec: f64,
+    }
 }
 
 impl From<&MdsLeakResult> for MdsRunRecord {
@@ -804,58 +632,15 @@ impl From<&MdsLeakResult> for MdsRunRecord {
     }
 }
 
-impl MdsRunRecord {
-    /// Decode the leaked bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] if the hex string is malformed.
-    pub fn leaked(&self) -> Result<Vec<u8>, SchemaError> {
-        hex_decode(&self.leaked_hex)
+record! {
+    /// §7.4 MDS leak runs for one microarchitecture.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MdsTableRecord {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Per-reboot runs.
+        pub runs: Vec<MdsRunRecord>,
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("leaked_hex", JsonValue::Str(self.leaked_hex.clone()))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("signal", JsonValue::Bool(self.signal))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence))
-            .set("cycles", JsonValue::Uint(self.cycles))
-            .set("seconds", JsonValue::Float(self.seconds))
-            .set("bytes_per_sec", JsonValue::Float(self.bytes_per_sec));
-        o
-    }
-
-    /// Decode from a JSON object. `mean_confidence` parses leniently
-    /// (absent ⇒ 0) so baselines recorded before the field keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<MdsRunRecord, SchemaError> {
-        Ok(MdsRunRecord {
-            leaked_hex: str_field(v, "leaked_hex")?,
-            accuracy: f64_field(v, "accuracy")?,
-            signal: bool_field(v, "signal")?,
-            mean_confidence: v
-                .get("mean_confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            cycles: u64_field(v, "cycles")?,
-            seconds: f64_field(v, "seconds")?,
-            bytes_per_sec: f64_field(v, "bytes_per_sec")?,
-        })
-    }
-}
-
-/// §7.4 MDS leak runs for one microarchitecture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MdsTableRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Per-reboot runs.
-    pub runs: Vec<MdsRunRecord>,
 }
 
 impl MdsTableRecord {
@@ -871,39 +656,19 @@ impl MdsTableRecord {
     pub fn total_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.cycles).sum()
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone())).set(
-            "runs",
-            JsonValue::Array(self.runs.iter().map(MdsRunRecord::to_json).collect()),
-        );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<MdsTableRecord, SchemaError> {
-        Ok(MdsTableRecord {
-            uarch: str_field(v, "uarch")?,
-            runs: vec_from(v, "runs", MdsRunRecord::from_json)?,
-        })
-    }
 }
 
-/// Which pipeline stages an experiment's signal reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageFlags {
-    /// IF channel fired.
-    pub fetched: bool,
-    /// ID channel fired.
-    pub decoded: bool,
-    /// EX channel fired.
-    pub executed: bool,
+record! {
+    /// Which pipeline stages an experiment's signal reached.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StageFlags {
+        /// IF channel fired.
+        pub fetched: bool,
+        /// ID channel fired.
+        pub decoded: bool,
+        /// EX channel fired.
+        pub executed: bool,
+    }
 }
 
 impl From<&ComboOutcome> for StageFlags {
@@ -916,135 +681,65 @@ impl From<&ComboOutcome> for StageFlags {
     }
 }
 
-impl StageFlags {
-    fn to_json(self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("fetched", JsonValue::Bool(self.fetched))
-            .set("decoded", JsonValue::Bool(self.decoded))
-            .set("executed", JsonValue::Bool(self.executed));
-        o
-    }
-
-    fn from_json(v: &JsonValue) -> Result<StageFlags, SchemaError> {
-        Ok(StageFlags {
-            fetched: bool_field(v, "fetched")?,
-            decoded: bool_field(v, "decoded")?,
-            executed: bool_field(v, "executed")?,
-        })
+record! {
+    /// One O4 (`SuppressBPOnNonBr`) outcome.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct O4Record {
+        /// Microarchitecture name.
+        pub uarch: String,
+        /// Stages reached with the bit clear.
+        pub baseline: StageFlags,
+        /// Stages reached with the bit set.
+        pub suppressed: StageFlags,
     }
 }
 
-/// One O4 (`SuppressBPOnNonBr`) outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct O4Record {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Stages reached with the bit clear.
-    pub baseline: StageFlags,
-    /// Stages reached with the bit set.
-    pub suppressed: StageFlags,
-}
-
-impl O4Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("baseline", self.baseline.to_json())
-            .set("suppressed", self.suppressed.to_json());
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<O4Record, SchemaError> {
-        Ok(O4Record {
-            uarch: str_field(v, "uarch")?,
-            baseline: StageFlags::from_json(field(v, "baseline")?)?,
-            suppressed: StageFlags::from_json(field(v, "suppressed")?)?,
-        })
+record! {
+    /// The O5 (AutoIBRS) outcome.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct O5Record {
+        /// Whether cross-privilege transient fetch was still observed.
+        pub transient_fetch_observed: bool,
     }
 }
 
-/// The O5 (AutoIBRS) outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct O5Record {
-    /// Whether cross-privilege transient fetch was still observed.
-    pub transient_fetch_observed: bool,
-}
-
-impl O5Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "transient_fetch_observed",
-            JsonValue::Bool(self.transient_fetch_observed),
-        );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<O5Record, SchemaError> {
-        Ok(O5Record {
-            transient_fetch_observed: bool_field(v, "transient_fetch_observed")?,
-        })
+record! {
+    /// One §8.2 software-mitigation placement check.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SoftwareRecord {
+        /// Mitigation name (`"lfence"`, `"rsb_stuffing"`, `"sls_padding"`).
+        pub name: String,
+        /// Microarchitecture the check ran on.
+        pub uarch: String,
+        /// Signal observed without the mitigation.
+        pub unprotected: bool,
+        /// Signal observed with the mitigation in place.
+        pub protected: bool,
     }
 }
 
-/// One §8.2 software-mitigation placement check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoftwareRecord {
-    /// Mitigation name (`"lfence"`, `"rsb_stuffing"`, `"sls_padding"`).
-    pub name: String,
-    /// Microarchitecture the check ran on.
-    pub uarch: String,
-    /// Signal observed without the mitigation.
-    pub unprotected: bool,
-    /// Signal observed with the mitigation in place.
-    pub protected: bool,
-}
-
-impl SoftwareRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("name", JsonValue::Str(self.name.clone()))
-            .set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("unprotected", JsonValue::Bool(self.unprotected))
-            .set("protected", JsonValue::Bool(self.protected));
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<SoftwareRecord, SchemaError> {
-        Ok(SoftwareRecord {
-            name: str_field(v, "name")?,
-            uarch: str_field(v, "uarch")?,
-            unprotected: bool_field(v, "unprotected")?,
-            protected: bool_field(v, "protected")?,
-        })
+record! {
+    /// The §6.3 mitigation-overhead suite.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OverheadRecord {
+        /// Per-workload cycle pairs.
+        pub per_workload: Vec<OverheadWorkload>,
+        /// Geometric-mean overhead, percent.
+        pub geomean_overhead_pct: f64,
     }
 }
 
-/// The §6.3 mitigation-overhead suite.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadRecord {
-    /// Per-workload `(name, baseline cycles, suppressed cycles)`.
-    pub per_workload: Vec<(String, u64, u64)>,
-    /// Geometric-mean overhead, percent.
-    pub geomean_overhead_pct: f64,
+record! {
+    /// One workload of the §6.3 overhead suite.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OverheadWorkload {
+        /// Workload name.
+        pub workload: String,
+        /// Simulated cycles with `SuppressBPOnNonBr` clear.
+        pub baseline_cycles: u64,
+        /// Simulated cycles with `SuppressBPOnNonBr` set.
+        pub suppressed_cycles: u64,
+    }
 }
 
 impl From<&OverheadResult> for OverheadRecord {
@@ -1053,67 +748,30 @@ impl From<&OverheadResult> for OverheadRecord {
             per_workload: r
                 .per_workload
                 .iter()
-                .map(|(n, b, s)| (n.to_string(), *b, *s))
+                .map(
+                    |&(name, baseline_cycles, suppressed_cycles)| OverheadWorkload {
+                        workload: name.to_string(),
+                        baseline_cycles,
+                        suppressed_cycles,
+                    },
+                )
                 .collect(),
             geomean_overhead_pct: r.geomean_overhead_pct,
         }
     }
 }
 
-impl OverheadRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "per_workload",
-            JsonValue::Array(
-                self.per_workload
-                    .iter()
-                    .map(|(name, base, supp)| {
-                        let mut w = JsonValue::object();
-                        w.set("workload", JsonValue::Str(name.clone()))
-                            .set("baseline_cycles", JsonValue::Uint(*base))
-                            .set("suppressed_cycles", JsonValue::Uint(*supp));
-                        w
-                    })
-                    .collect(),
-            ),
-        )
-        .set(
-            "geomean_overhead_pct",
-            JsonValue::Float(self.geomean_overhead_pct),
-        );
-        o
+record! {
+    /// The §9.1 gadget census.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GadgetRecord {
+        /// Conventional Spectre gadgets.
+        pub spectre_gadgets: u64,
+        /// Phantom-only single-load gadgets.
+        pub mds_gadgets: u64,
+        /// Total exploitable with Phantom.
+        pub total_with_phantom: u64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<OverheadRecord, SchemaError> {
-        Ok(OverheadRecord {
-            per_workload: vec_from(v, "per_workload", |w| {
-                Ok((
-                    str_field(w, "workload")?,
-                    u64_field(w, "baseline_cycles")?,
-                    u64_field(w, "suppressed_cycles")?,
-                ))
-            })?,
-            geomean_overhead_pct: f64_field(v, "geomean_overhead_pct")?,
-        })
-    }
-}
-
-/// The §9.1 gadget census.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GadgetRecord {
-    /// Conventional Spectre gadgets.
-    pub spectre_gadgets: u64,
-    /// Phantom-only single-load gadgets.
-    pub mds_gadgets: u64,
-    /// Total exploitable with Phantom.
-    pub total_with_phantom: u64,
 }
 
 impl From<&GadgetCensus> for GadgetRecord {
@@ -1126,50 +784,25 @@ impl From<&GadgetCensus> for GadgetRecord {
     }
 }
 
-impl GadgetRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("spectre_gadgets", JsonValue::Uint(self.spectre_gadgets))
-            .set("mds_gadgets", JsonValue::Uint(self.mds_gadgets))
-            .set(
-                "total_with_phantom",
-                JsonValue::Uint(self.total_with_phantom),
-            );
-        o
+record! {
+    /// One point of the noise sweep: the adaptive fetch channel under a
+    /// single [`NoiseModel`](phantom_sidechannel::NoiseModel) knob.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct NoiseSweepRecord {
+        /// The swept knob: `"jitter_cycles"`, `"spurious_evict"` or
+        /// `"missed_signal"`.
+        pub axis: String,
+        /// The knob value.
+        pub value: f64,
+        /// Channel accuracy at that point (abstentions count as wrong).
+        pub accuracy: f64,
+        /// Total probes the adaptive decoder spent.
+        pub probes: u64,
+        /// Bits the decoder abstained on.
+        pub abstentions: u64,
+        /// Mean decode confidence across the transfer.
+        pub mean_confidence: f64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<GadgetRecord, SchemaError> {
-        Ok(GadgetRecord {
-            spectre_gadgets: u64_field(v, "spectre_gadgets")?,
-            mds_gadgets: u64_field(v, "mds_gadgets")?,
-            total_with_phantom: u64_field(v, "total_with_phantom")?,
-        })
-    }
-}
-
-/// One point of the noise sweep: the adaptive fetch channel under a
-/// single [`NoiseModel`](phantom_sidechannel::NoiseModel) knob.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoiseSweepRecord {
-    /// The swept knob: `"jitter_cycles"`, `"spurious_evict"` or
-    /// `"missed_signal"`.
-    pub axis: String,
-    /// The knob value.
-    pub value: f64,
-    /// Channel accuracy at that point (abstentions count as wrong).
-    pub accuracy: f64,
-    /// Total probes the adaptive decoder spent.
-    pub probes: u64,
-    /// Bits the decoder abstained on.
-    pub abstentions: u64,
-    /// Mean decode confidence across the transfer.
-    pub mean_confidence: f64,
 }
 
 impl From<&NoiseSweepPoint> for NoiseSweepRecord {
@@ -1191,83 +824,60 @@ impl NoiseSweepRecord {
     pub fn is_quiet(&self) -> bool {
         self.value == 0.0
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("axis", JsonValue::Str(self.axis.clone()))
-            .set("value", JsonValue::Float(self.value))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("probes", JsonValue::Uint(self.probes))
-            .set("abstentions", JsonValue::Uint(self.abstentions))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence));
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<NoiseSweepRecord, SchemaError> {
-        Ok(NoiseSweepRecord {
-            axis: str_field(v, "axis")?,
-            value: f64_field(v, "value")?,
-            accuracy: f64_field(v, "accuracy")?,
-            probes: u64_field(v, "probes")?,
-            abstentions: u64_field(v, "abstentions")?,
-            mean_confidence: f64_field(v, "mean_confidence")?,
-        })
-    }
 }
 
-/// Deterministic hot-path counters: the measured decode-cache, TLB
-/// and copy-on-write snapshot wins.
-///
-/// Every counter comes from a fixed reference workload, so they are
-/// part of the canonical snapshot and diffable against a baseline —
-/// a hit-rate drop is a perf regression the gate can catch without
-/// trusting wall clocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PerfRecord {
-    /// Decode-cache hits on the reference workload.
-    pub decode_cache_hits: u64,
-    /// Decode-cache misses on the reference workload.
-    pub decode_cache_misses: u64,
-    /// Full decodes the cache eliminated (equals `hits`).
-    pub decodes_avoided: u64,
-    /// TLB hits on the reference workload (page walks skipped by the
-    /// translation fast path).
-    pub tlb_hits: u64,
-    /// TLB misses on the reference workload (page walks taken).
-    pub tlb_misses: u64,
-    /// Frames unshared by a write after a checkpoint on the
-    /// snapshot/restore reference workload.
-    pub cow_faults: u64,
-    /// Frames still shared between the live memory and its snapshot at
-    /// the end of the snapshot/restore reference workload.
-    pub cow_frames_shared: u64,
-    /// Frames rewound by `restore` on the snapshot/restore reference
-    /// workload (the O(dirty) restore cost).
-    pub restore_frames_copied: u64,
-    /// Bounded probe retries the trial runner performed while
-    /// collecting the snapshot (trials re-run on a fresh fork after a
-    /// recoverable failure). Zero in a healthy run: a nonzero value
-    /// means some scenario silently leaned on the retry path.
-    pub trial_retries: u64,
-    /// Boots served from an existing template by the boot-cache
-    /// reference workload (an isolated cache, so the counter does not
-    /// depend on how many boots the global one served).
-    pub boot_cache_hits: u64,
-    /// Dirty frames the journaled rewind visited on the
-    /// snapshot/restore reference workload.
-    pub rewind_journal_frames: u64,
-    /// Retired frame buffers the pool recycled into copy-on-write
-    /// copies on the snapshot/restore reference workload.
-    pub frame_pool_reuses: u64,
-    /// Probes re-armed over a standing arena mapping by the probe-arena
-    /// reference workload.
-    pub probe_arena_rearms: u64,
+record! {
+    /// Deterministic hot-path counters: the measured decode-cache, TLB
+    /// and copy-on-write snapshot wins.
+    ///
+    /// Every counter comes from a fixed reference workload, so they are
+    /// part of the canonical snapshot and diffable against a baseline —
+    /// a hit-rate drop is a perf regression the gate can catch without
+    /// trusting wall clocks. Counters introduced after the first
+    /// baseline are lenient (absent ⇒ 0), and keys of retired counters
+    /// (`trace_hits`, `trace_bailouts`, `trace_invalidations`) are
+    /// ignored, so old baselines keep loading.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PerfRecord {
+        /// Decode-cache hits on the reference workload.
+        pub decode_cache_hits: u64,
+        /// Decode-cache misses on the reference workload.
+        pub decode_cache_misses: u64,
+        /// Full decodes the cache eliminated (equals `hits`).
+        pub decodes_avoided: u64,
+        /// TLB hits on the reference workload (page walks skipped by the
+        /// translation fast path).
+        pub tlb_hits: u64 [lenient],
+        /// TLB misses on the reference workload (page walks taken).
+        pub tlb_misses: u64 [lenient],
+        /// Frames unshared by a write after a checkpoint on the
+        /// snapshot/restore reference workload.
+        pub cow_faults: u64 [lenient],
+        /// Frames still shared between the live memory and its snapshot at
+        /// the end of the snapshot/restore reference workload.
+        pub cow_frames_shared: u64 [lenient],
+        /// Frames rewound by `restore` on the snapshot/restore reference
+        /// workload (the O(dirty) restore cost).
+        pub restore_frames_copied: u64 [lenient],
+        /// Bounded probe retries the trial runner performed while
+        /// collecting the snapshot (trials re-run on a fresh fork after a
+        /// recoverable failure). Zero in a healthy run: a nonzero value
+        /// means some scenario silently leaned on the retry path.
+        pub trial_retries: u64 [lenient],
+        /// Boots served from an existing template by the boot-cache
+        /// reference workload (an isolated cache, so the counter does not
+        /// depend on how many boots the global one served).
+        pub boot_cache_hits: u64 [lenient],
+        /// Dirty frames the journaled rewind visited on the
+        /// snapshot/restore reference workload.
+        pub rewind_journal_frames: u64 [lenient],
+        /// Retired frame buffers the pool recycled into copy-on-write
+        /// copies on the snapshot/restore reference workload.
+        pub frame_pool_reuses: u64 [lenient],
+        /// Probes re-armed over a standing arena mapping by the probe-arena
+        /// reference workload.
+        pub probe_arena_rearms: u64 [lenient],
+    }
 }
 
 impl PerfRecord {
@@ -1288,285 +898,91 @@ impl PerfRecord {
         }
         self.tlb_hits as f64 / total as f64
     }
+}
 
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("decode_cache_hits", JsonValue::Uint(self.decode_cache_hits))
-            .set(
-                "decode_cache_misses",
-                JsonValue::Uint(self.decode_cache_misses),
-            )
-            .set("decodes_avoided", JsonValue::Uint(self.decodes_avoided))
-            .set("tlb_hits", JsonValue::Uint(self.tlb_hits))
-            .set("tlb_misses", JsonValue::Uint(self.tlb_misses))
-            .set("cow_faults", JsonValue::Uint(self.cow_faults))
-            .set("cow_frames_shared", JsonValue::Uint(self.cow_frames_shared))
-            .set(
-                "restore_frames_copied",
-                JsonValue::Uint(self.restore_frames_copied),
-            )
-            .set("trial_retries", JsonValue::Uint(self.trial_retries))
-            .set("boot_cache_hits", JsonValue::Uint(self.boot_cache_hits))
-            .set(
-                "rewind_journal_frames",
-                JsonValue::Uint(self.rewind_journal_frames),
-            )
-            .set("frame_pool_reuses", JsonValue::Uint(self.frame_pool_reuses))
-            .set(
-                "probe_arena_rearms",
-                JsonValue::Uint(self.probe_arena_rearms),
-            );
-        o
-    }
-
-    /// Decode from a JSON object. Counters introduced after a baseline
-    /// was recorded parse leniently (absent ⇒ 0), and keys of retired
-    /// counters (`trace_hits`, `trace_bailouts`, `trace_invalidations`)
-    /// are ignored, so old baselines keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PerfRecord, SchemaError> {
-        let lenient = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Ok(PerfRecord {
-            decode_cache_hits: u64_field(v, "decode_cache_hits")?,
-            decode_cache_misses: u64_field(v, "decode_cache_misses")?,
-            decodes_avoided: u64_field(v, "decodes_avoided")?,
-            tlb_hits: lenient("tlb_hits"),
-            tlb_misses: lenient("tlb_misses"),
-            cow_faults: lenient("cow_faults"),
-            cow_frames_shared: lenient("cow_frames_shared"),
-            restore_frames_copied: lenient("restore_frames_copied"),
-            trial_retries: lenient("trial_retries"),
-            boot_cache_hits: lenient("boot_cache_hits"),
-            rewind_journal_frames: lenient("rewind_journal_frames"),
-            frame_pool_reuses: lenient("frame_pool_reuses"),
-            probe_arena_rearms: lenient("probe_arena_rearms"),
-        })
+record! {
+    /// Host-volatile metadata. **Not** part of the canonical snapshot:
+    /// only emitted on request, and always ignored by [`diff`], because
+    /// wall-clock and thread count vary run to run. Keys of retired
+    /// host fields (`decode_cache_wall`, `snapshot_wall`) are ignored.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HostMeta {
+        /// Worker threads the trial runner used.
+        pub threads: u64,
+        /// Host wall-clock per experiment.
+        pub wall_seconds: Vec<ExperimentWall>,
     }
 }
 
-/// Host-volatile metadata. **Not** part of the canonical snapshot:
-/// only emitted on request, and always ignored by [`diff`], because
-/// wall-clock and thread count vary run to run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostMeta {
-    /// Worker threads the trial runner used.
-    pub threads: u64,
-    /// Host wall-clock per experiment, `(name, seconds)`.
-    pub wall_seconds: Vec<(String, f64)>,
-}
-
-impl HostMeta {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("threads", JsonValue::Uint(self.threads)).set(
-            "wall_seconds",
-            JsonValue::Array(
-                self.wall_seconds
-                    .iter()
-                    .map(|(name, secs)| {
-                        let mut w = JsonValue::object();
-                        w.set("experiment", JsonValue::Str(name.clone()))
-                            .set("seconds", JsonValue::Float(*secs));
-                        w
-                    })
-                    .collect(),
-            ),
-        );
-        o
-    }
-
-    /// Decode from a JSON object. Keys of retired host fields
-    /// (`decode_cache_wall`, `snapshot_wall`) are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<HostMeta, SchemaError> {
-        Ok(HostMeta {
-            threads: u64_field(v, "threads")?,
-            wall_seconds: vec_from(v, "wall_seconds", |w| {
-                Ok((str_field(w, "experiment")?, f64_field(w, "seconds")?))
-            })?,
-        })
+record! {
+    /// Host wall-clock of one experiment.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExperimentWall {
+        /// Experiment name (e.g. `"table3 Zen 2"`).
+        pub experiment: String,
+        /// Wall-clock seconds.
+        pub seconds: f64,
     }
 }
 
-/// The complete machine-readable result of a `repro bench` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSnapshot {
-    /// Canonical run metadata.
-    pub meta: RunMeta,
-    /// Table 1 cells.
-    pub table1: Vec<Table1Record>,
-    /// Figure 6 sweeps.
-    pub figure6: Vec<Figure6Record>,
-    /// Figure 7 recovery.
-    pub figure7: Figure7Record,
-    /// Table 2 covert-channel rows.
-    pub table2: Vec<CovertRecord>,
-    /// Table 3 (kernel image KASLR), one record per uarch.
-    pub table3: Vec<SlotTableRecord>,
-    /// Table 4 (physmap KASLR), one record per uarch.
-    pub table4: Vec<SlotTableRecord>,
-    /// Table 5 (physical address), one record per (uarch, memory).
-    pub table5: Vec<PhysAddrTableRecord>,
-    /// §7.4 MDS leak, one record per uarch.
-    pub mds: Vec<MdsTableRecord>,
-    /// O4 outcomes.
-    pub o4: Vec<O4Record>,
-    /// O5 outcome.
-    pub o5: O5Record,
-    /// §8.2 software mitigation checks.
-    pub software: Vec<SoftwareRecord>,
-    /// §6.3 overhead suite.
-    pub overhead: OverheadRecord,
-    /// §9.1 gadget census.
-    pub gadgets: GadgetRecord,
-    /// Deterministic hot-path counters.
-    pub perf: PerfRecord,
-    /// Noise sweep of the adaptive fetch channel. Optional so
-    /// baselines recorded before the sweep existed keep loading.
-    pub noise_sweep: Option<Vec<NoiseSweepRecord>>,
-    /// PHT-channel (BranchSpectre-style) rows. Optional so baselines
-    /// recorded before the channel existed keep loading.
-    pub pht_channel: Option<Vec<PhtChannelRecord>>,
-    /// Host-volatile metadata (ignored by [`diff`]).
-    pub host: Option<HostMeta>,
+record! {
+    schema = SCHEMA;
+    /// The complete machine-readable result of a `repro bench` run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchSnapshot {
+        /// Canonical run metadata.
+        pub meta: RunMeta,
+        /// Table 1 cells.
+        pub table1: Vec<Table1Record>,
+        /// Figure 6 sweeps.
+        pub figure6: Vec<Figure6Record>,
+        /// Figure 7 recovery.
+        pub figure7: Figure7Record,
+        /// Table 2 covert-channel rows.
+        pub table2: Vec<CovertRecord>,
+        /// Table 3 (kernel image KASLR), one record per uarch.
+        pub table3: Vec<SlotTableRecord>,
+        /// Table 4 (physmap KASLR), one record per uarch.
+        pub table4: Vec<SlotTableRecord>,
+        /// Table 5 (physical address), one record per (uarch, memory).
+        pub table5: Vec<PhysAddrTableRecord>,
+        /// §7.4 MDS leak, one record per uarch.
+        pub mds: Vec<MdsTableRecord>,
+        /// O4 outcomes.
+        pub o4: Vec<O4Record>,
+        /// O5 outcome.
+        pub o5: O5Record,
+        /// §8.2 software mitigation checks.
+        pub software: Vec<SoftwareRecord>,
+        /// §6.3 overhead suite.
+        pub overhead: OverheadRecord,
+        /// §9.1 gadget census.
+        pub gadgets: GadgetRecord,
+        /// Deterministic hot-path counters.
+        pub perf: PerfRecord,
+        /// Noise sweep of the adaptive fetch channel. Optional so
+        /// baselines recorded before the sweep existed keep loading.
+        pub noise_sweep: Option<Vec<NoiseSweepRecord>> [optional],
+        /// PHT-channel (BranchSpectre-style) rows. Optional so baselines
+        /// recorded before the channel existed keep loading.
+        pub pht_channel: Option<Vec<PhtChannelRecord>> [optional],
+        /// Host-volatile metadata (ignored by [`diff`]).
+        pub host: Option<HostMeta> [optional],
+    }
 }
 
 impl BenchSnapshot {
-    /// Encode the snapshot as a JSON value.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("schema", JsonValue::Str(SCHEMA.to_string()))
-            .set("meta", self.meta.to_json())
-            .set(
-                "table1",
-                JsonValue::Array(self.table1.iter().map(Table1Record::to_json).collect()),
-            )
-            .set(
-                "figure6",
-                JsonValue::Array(self.figure6.iter().map(Figure6Record::to_json).collect()),
-            )
-            .set("figure7", self.figure7.to_json())
-            .set(
-                "table2",
-                JsonValue::Array(self.table2.iter().map(CovertRecord::to_json).collect()),
-            )
-            .set(
-                "table3",
-                JsonValue::Array(self.table3.iter().map(SlotTableRecord::to_json).collect()),
-            )
-            .set(
-                "table4",
-                JsonValue::Array(self.table4.iter().map(SlotTableRecord::to_json).collect()),
-            )
-            .set(
-                "table5",
-                JsonValue::Array(
-                    self.table5
-                        .iter()
-                        .map(PhysAddrTableRecord::to_json)
-                        .collect(),
-                ),
-            )
-            .set(
-                "mds",
-                JsonValue::Array(self.mds.iter().map(MdsTableRecord::to_json).collect()),
-            )
-            .set(
-                "o4",
-                JsonValue::Array(self.o4.iter().map(O4Record::to_json).collect()),
-            )
-            .set("o5", self.o5.to_json())
-            .set(
-                "software",
-                JsonValue::Array(self.software.iter().map(SoftwareRecord::to_json).collect()),
-            )
-            .set("overhead", self.overhead.to_json())
-            .set("gadgets", self.gadgets.to_json())
-            .set("perf", self.perf.to_json());
-        if let Some(sweep) = &self.noise_sweep {
-            o.set(
-                "noise_sweep",
-                JsonValue::Array(sweep.iter().map(NoiseSweepRecord::to_json).collect()),
-            );
-        }
-        if let Some(rows) = &self.pht_channel {
-            o.set(
-                "pht_channel",
-                JsonValue::Array(rows.iter().map(PhtChannelRecord::to_json).collect()),
-            );
-        }
-        if let Some(host) = &self.host {
-            o.set("host", host.to_json());
-        }
-        o
-    }
-
     /// Serialize to the canonical pretty-printed JSON document.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_pretty_string()
-    }
-
-    /// Decode a snapshot from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on an unknown schema or shape
-    /// mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<BenchSnapshot, SchemaError> {
-        let schema = str_field(v, "schema")?;
-        if schema != SCHEMA {
-            return Err(SchemaError(format!(
-                "unknown schema {schema:?} (expected {SCHEMA:?})"
-            )));
-        }
-        Ok(BenchSnapshot {
-            meta: RunMeta::from_json(field(v, "meta")?)?,
-            table1: vec_from(v, "table1", Table1Record::from_json)?,
-            figure6: vec_from(v, "figure6", Figure6Record::from_json)?,
-            figure7: Figure7Record::from_json(field(v, "figure7")?)?,
-            table2: vec_from(v, "table2", CovertRecord::from_json)?,
-            table3: vec_from(v, "table3", SlotTableRecord::from_json)?,
-            table4: vec_from(v, "table4", SlotTableRecord::from_json)?,
-            table5: vec_from(v, "table5", PhysAddrTableRecord::from_json)?,
-            mds: vec_from(v, "mds", MdsTableRecord::from_json)?,
-            o4: vec_from(v, "o4", O4Record::from_json)?,
-            o5: O5Record::from_json(field(v, "o5")?)?,
-            software: vec_from(v, "software", SoftwareRecord::from_json)?,
-            overhead: OverheadRecord::from_json(field(v, "overhead")?)?,
-            gadgets: GadgetRecord::from_json(field(v, "gadgets")?)?,
-            perf: PerfRecord::from_json(field(v, "perf")?)?,
-            noise_sweep: match v.get("noise_sweep") {
-                Some(s) if !s.is_null() => Some(vec_from(v, "noise_sweep", |p| {
-                    NoiseSweepRecord::from_json(p)
-                })?),
-                _ => None,
-            },
-            pht_channel: match v.get("pht_channel") {
-                Some(s) if !s.is_null() => Some(vec_from(v, "pht_channel", |p| {
-                    PhtChannelRecord::from_json(p)
-                })?),
-                _ => None,
-            },
-            host: match v.get("host") {
-                Some(h) if !h.is_null() => Some(HostMeta::from_json(h)?),
-                _ => None,
-            },
-        })
     }
 
     /// Parse a snapshot from its JSON text.
     ///
     /// # Errors
     ///
-    /// Returns a [`SchemaError`] on malformed JSON or shape mismatch.
+    /// Returns a [`SchemaError`] on malformed JSON, an unknown schema or
+    /// a shape mismatch.
     pub fn from_json_str(text: &str) -> Result<BenchSnapshot, SchemaError> {
         BenchSnapshot::from_json(&parse(text)?)
     }
@@ -1653,6 +1069,30 @@ fn check_cycles(out: &mut Vec<Regression>, tol: &Tolerance, metric: String, base
     }
 }
 
+/// For each `baseline` row, find the `current` row that is `same` and
+/// run `check` on the pair with the row's metric prefix `at` (e.g.
+/// `table5[Zen | 1 GiB]`); a baseline row with no counterpart flags as
+/// the coverage regression `"{at} missing"`.
+fn gate_rows<'a, T: 'a>(
+    out: &mut Vec<Regression>,
+    baseline: impl IntoIterator<Item = &'a T>,
+    current: &[T],
+    same: impl Fn(&T, &T) -> bool,
+    at: impl Fn(&T) -> String,
+    mut check: impl FnMut(&mut Vec<Regression>, &str, &T, &T),
+) {
+    for base in baseline {
+        match current.iter().find(|cur| same(base, cur)) {
+            Some(cur) => check(out, &at(base), base, cur),
+            None => out.push(Regression {
+                metric: format!("{} missing", at(base)),
+                baseline: 1.0,
+                current: 0.0,
+            }),
+        }
+    }
+}
+
 /// Compare `current` against `baseline` and return every regression
 /// beyond `tol`.
 ///
@@ -1666,120 +1106,62 @@ fn check_cycles(out: &mut Vec<Regression>, tol: &Tolerance, metric: String, base
 /// coverage regression.
 pub fn diff(baseline: &BenchSnapshot, current: &BenchSnapshot, tol: &Tolerance) -> Vec<Regression> {
     let mut out = Vec::new();
+    let accuracy = |out: &mut Vec<Regression>, at: &str, base: f64, cur: f64| {
+        check_accuracy(out, tol, format!("{at}.accuracy"), base, cur);
+    };
+    let cycles = |out: &mut Vec<Regression>, at: &str, base: u64, cur: u64| {
+        check_cycles(out, tol, format!("{at}.cycles"), base, cur);
+    };
 
-    for base_row in &baseline.table2 {
-        let key = (&base_row.uarch, &base_row.kind);
-        match current.table2.iter().find(|r| (&r.uarch, &r.kind) == key) {
-            Some(cur_row) => check_accuracy(
-                &mut out,
-                tol,
-                format!("table2[{} | {}].accuracy", base_row.uarch, base_row.kind),
-                base_row.accuracy,
-                cur_row.accuracy,
-            ),
-            None => out.push(Regression {
-                metric: format!("table2[{} | {}] missing", base_row.uarch, base_row.kind),
-                baseline: 1.0,
-                current: 0.0,
-            }),
-        }
-    }
+    gate_rows(
+        &mut out,
+        &baseline.table2,
+        &current.table2,
+        |a, b| (&a.uarch, &a.kind) == (&b.uarch, &b.kind),
+        |r| format!("table2[{} | {}]", r.uarch, r.kind),
+        |out, at, b, c| accuracy(out, at, b.accuracy, c.accuracy),
+    );
 
     for (name, base_tables, cur_tables) in [
         ("table3", &baseline.table3, &current.table3),
         ("table4", &baseline.table4, &current.table4),
     ] {
-        for base_t in base_tables.iter() {
-            match cur_tables.iter().find(|t| t.uarch == base_t.uarch) {
-                Some(cur_t) => {
-                    check_accuracy(
-                        &mut out,
-                        tol,
-                        format!("{name}[{}].accuracy", base_t.uarch),
-                        base_t.accuracy(),
-                        cur_t.accuracy(),
-                    );
-                    check_cycles(
-                        &mut out,
-                        tol,
-                        format!("{name}[{}].cycles", base_t.uarch),
-                        base_t.total_cycles(),
-                        cur_t.total_cycles(),
-                    );
-                }
-                None => out.push(Regression {
-                    metric: format!("{name}[{}] missing", base_t.uarch),
-                    baseline: 1.0,
-                    current: 0.0,
-                }),
-            }
-        }
+        gate_rows(
+            &mut out,
+            base_tables,
+            cur_tables,
+            |a, b| a.uarch == b.uarch,
+            |t| format!("{name}[{}]", t.uarch),
+            |out, at, b, c| {
+                accuracy(out, at, b.accuracy(), c.accuracy());
+                cycles(out, at, b.total_cycles(), c.total_cycles());
+            },
+        );
     }
 
-    for base_t in &baseline.table5 {
-        match current
-            .table5
-            .iter()
-            .find(|t| t.uarch == base_t.uarch && t.memory_gib == base_t.memory_gib)
-        {
-            Some(cur_t) => {
-                check_accuracy(
-                    &mut out,
-                    tol,
-                    format!(
-                        "table5[{} | {} GiB].accuracy",
-                        base_t.uarch, base_t.memory_gib
-                    ),
-                    base_t.accuracy(),
-                    cur_t.accuracy(),
-                );
-                check_cycles(
-                    &mut out,
-                    tol,
-                    format!(
-                        "table5[{} | {} GiB].cycles",
-                        base_t.uarch, base_t.memory_gib
-                    ),
-                    base_t.total_cycles(),
-                    cur_t.total_cycles(),
-                );
-            }
-            None => out.push(Regression {
-                metric: format!(
-                    "table5[{} | {} GiB] missing",
-                    base_t.uarch, base_t.memory_gib
-                ),
-                baseline: 1.0,
-                current: 0.0,
-            }),
-        }
-    }
+    gate_rows(
+        &mut out,
+        &baseline.table5,
+        &current.table5,
+        |a, b| a.uarch == b.uarch && a.memory_gib == b.memory_gib,
+        |t| format!("table5[{} | {} GiB]", t.uarch, t.memory_gib),
+        |out, at, b, c| {
+            accuracy(out, at, b.accuracy(), c.accuracy());
+            cycles(out, at, b.total_cycles(), c.total_cycles());
+        },
+    );
 
-    for base_t in &baseline.mds {
-        match current.mds.iter().find(|t| t.uarch == base_t.uarch) {
-            Some(cur_t) => {
-                check_accuracy(
-                    &mut out,
-                    tol,
-                    format!("mds[{}].accuracy", base_t.uarch),
-                    base_t.mean_accuracy(),
-                    cur_t.mean_accuracy(),
-                );
-                check_cycles(
-                    &mut out,
-                    tol,
-                    format!("mds[{}].cycles", base_t.uarch),
-                    base_t.total_cycles(),
-                    cur_t.total_cycles(),
-                );
-            }
-            None => out.push(Regression {
-                metric: format!("mds[{}] missing", base_t.uarch),
-                baseline: 1.0,
-                current: 0.0,
-            }),
-        }
-    }
+    gate_rows(
+        &mut out,
+        &baseline.mds,
+        &current.mds,
+        |a, b| a.uarch == b.uarch,
+        |t| format!("mds[{}]", t.uarch),
+        |out, at, b, c| {
+            accuracy(out, at, b.mean_accuracy(), c.mean_accuracy());
+            cycles(out, at, b.total_cycles(), c.total_cycles());
+        },
+    );
 
     check_accuracy(
         &mut out,
@@ -1805,48 +1187,27 @@ pub fn diff(baseline: &BenchSnapshot, current: &BenchSnapshot, tol: &Tolerance) 
     // section. The noisy points degrade by design; the quiet baseline
     // of each axis must not.
     if let Some(base_sweep) = &baseline.noise_sweep {
-        let cur_sweep = current.noise_sweep.as_deref().unwrap_or(&[]);
-        for base_p in base_sweep.iter().filter(|p| p.is_quiet()) {
-            match cur_sweep
-                .iter()
-                .find(|p| p.axis == base_p.axis && p.value == base_p.value)
-            {
-                Some(cur_p) => check_accuracy(
-                    &mut out,
-                    tol,
-                    format!("noise_sweep[{} = 0].accuracy", base_p.axis),
-                    base_p.accuracy,
-                    cur_p.accuracy,
-                ),
-                None => out.push(Regression {
-                    metric: format!("noise_sweep[{} = 0] missing", base_p.axis),
-                    baseline: 1.0,
-                    current: 0.0,
-                }),
-            }
-        }
+        gate_rows(
+            &mut out,
+            base_sweep.iter().filter(|p| p.is_quiet()),
+            current.noise_sweep.as_deref().unwrap_or(&[]),
+            |a, b| a.axis == b.axis && a.value == b.value,
+            |p| format!("noise_sweep[{} = 0]", p.axis),
+            |out, at, b, c| accuracy(out, at, b.accuracy, c.accuracy),
+        );
     }
 
     // Gate PHT-channel rows the same way as Table 2, but only when the
     // baseline already has the section (older baselines predate it).
     if let Some(base_rows) = &baseline.pht_channel {
-        let cur_rows = current.pht_channel.as_deref().unwrap_or(&[]);
-        for base_row in base_rows {
-            match cur_rows.iter().find(|r| r.uarch == base_row.uarch) {
-                Some(cur_row) => check_accuracy(
-                    &mut out,
-                    tol,
-                    format!("pht_channel[{}].accuracy", base_row.uarch),
-                    base_row.accuracy,
-                    cur_row.accuracy,
-                ),
-                None => out.push(Regression {
-                    metric: format!("pht_channel[{}] missing", base_row.uarch),
-                    baseline: 1.0,
-                    current: 0.0,
-                }),
-            }
-        }
+        gate_rows(
+            &mut out,
+            base_rows,
+            current.pht_channel.as_deref().unwrap_or(&[]),
+            |a, b| a.uarch == b.uarch,
+            |r| format!("pht_channel[{}]", r.uarch),
+            |out, at, b, c| accuracy(out, at, b.accuracy, c.accuracy),
+        );
     }
 
     out
@@ -1865,7 +1226,16 @@ mod tests {
             table1: vec![Table1Record {
                 train: "jmp*".into(),
                 victim: "non branch".into(),
-                stages: vec![("Zen".into(), "EX".into()), ("Zen 4".into(), "ID".into())],
+                stages: vec![
+                    Table1Stage {
+                        uarch: "Zen".into(),
+                        stage: "EX".into(),
+                    },
+                    Table1Stage {
+                        uarch: "Zen 4".into(),
+                        stage: "ID".into(),
+                    },
+                ],
             }],
             figure6: vec![Figure6Record {
                 uarch: "Zen 2".into(),
@@ -1957,7 +1327,11 @@ mod tests {
                 protected: false,
             }],
             overhead: OverheadRecord {
-                per_workload: vec![("arith".into(), 1000, 1010)],
+                per_workload: vec![OverheadWorkload {
+                    workload: "arith".into(),
+                    baseline_cycles: 1000,
+                    suppressed_cycles: 1010,
+                }],
                 geomean_overhead_pct: 0.69,
             },
             gadgets: GadgetRecord {
@@ -2065,7 +1439,10 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.host = Some(HostMeta {
             threads: 8,
-            wall_seconds: vec![("table1".into(), 1.25)],
+            wall_seconds: vec![ExperimentWall {
+                experiment: "table1".into(),
+                seconds: 1.25,
+            }],
         });
         let back = BenchSnapshot::from_json_str(&snap.to_json_string()).expect("parses");
         assert_eq!(back, snap);
@@ -2073,11 +1450,9 @@ mod tests {
 
     #[test]
     fn hex_round_trips() {
-        for bytes in [&b""[..], &b"\x00\xff\x10"[..], &b"secret"[..]] {
-            assert_eq!(hex_decode(&hex_encode(bytes)).unwrap(), bytes);
-        }
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
+        assert_eq!(hex_encode(b""), "");
+        assert_eq!(hex_encode(b"\x00\xff\x10"), "00ff10");
+        assert_eq!(hex_encode(b"secret"), "736563726574");
     }
 
     #[test]
@@ -2314,7 +1689,10 @@ mod tests {
         let mut current = sample_snapshot();
         current.host = Some(HostMeta {
             threads: 2,
-            wall_seconds: vec![("table1".into(), 0.5)],
+            wall_seconds: vec![ExperimentWall {
+                experiment: "table1".into(),
+                seconds: 0.5,
+            }],
         });
         let mut doc = current.to_json();
         if let JsonValue::Object(members) = &mut doc {
@@ -2345,5 +1723,173 @@ mod tests {
         let old = BenchSnapshot::from_json_str(&text).expect("old-shape snapshot parses");
         assert_eq!(old, current);
         assert!(diff(&old, &current, &Tolerance::default()).is_empty());
+    }
+
+    /// The committed canonical snapshot.
+    const COMMITTED: &str = include_str!("../../../../BENCH_phantom.json");
+
+    #[test]
+    fn committed_snapshot_re_encodes_byte_identically() {
+        // Pins member order and formatting of every record type against
+        // real data, not only against the sample above.
+        let snap = BenchSnapshot::from_json_str(COMMITTED).expect("committed snapshot parses");
+        assert!(snap.host.is_none(), "the committed snapshot is canonical");
+        assert_eq!(snap.to_json_string(), COMMITTED);
+    }
+
+    /// Replace the member `key` of object `v` with `value`.
+    fn with(mut v: JsonValue, key: &str, value: JsonValue) -> JsonValue {
+        if let JsonValue::Object(members) = &mut v {
+            for (k, slot) in members.iter_mut() {
+                if k == key {
+                    *slot = value.clone();
+                }
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn lenient_fields_of_the_wrong_type_are_errors() {
+        // Lenient means "absent ⇒ default", not "unreadable ⇒ default":
+        // a baseline with `"probes": "x"` must not silently read as 0.
+        let snap = sample_snapshot();
+        let bad = JsonValue::Str("x".into());
+        let cases = [
+            (
+                CovertRecord::from_json(&with(snap.table2[0].to_json(), "probes", bad.clone()))
+                    .err(),
+                "probes",
+            ),
+            (
+                CovertRecord::from_json(&with(
+                    snap.table2[0].to_json(),
+                    "mean_confidence",
+                    JsonValue::Bool(true),
+                ))
+                .err(),
+                "mean_confidence",
+            ),
+            (
+                SlotRunRecord::from_json(&with(
+                    snap.table3[0].runs[0].to_json(),
+                    "confidence",
+                    bad.clone(),
+                ))
+                .err(),
+                "confidence",
+            ),
+            (
+                PhysAddrRunRecord::from_json(&with(
+                    snap.table5[0].runs[0].to_json(),
+                    "confidence",
+                    JsonValue::Null,
+                ))
+                .err(),
+                "confidence",
+            ),
+            (
+                MdsRunRecord::from_json(&with(
+                    snap.mds[0].runs[0].to_json(),
+                    "mean_confidence",
+                    bad.clone(),
+                ))
+                .err(),
+                "mean_confidence",
+            ),
+            (
+                PerfRecord::from_json(&with(snap.perf.to_json(), "tlb_hits", JsonValue::Int(-1)))
+                    .err(),
+                "tlb_hits",
+            ),
+        ];
+        for (err, key) in cases {
+            let err = err.unwrap_or_else(|| panic!("wrong-typed {key:?} must not parse"));
+            assert!(err.0.contains(key), "error names the field: {err}");
+        }
+    }
+
+    /// The number of values in `v`, itself included.
+    fn values(v: &JsonValue) -> usize {
+        1 + match v {
+            JsonValue::Array(items) => items.iter().map(values).sum(),
+            JsonValue::Object(members) => members.iter().map(|(_, m)| values(m)).sum(),
+            _ => 0,
+        }
+    }
+
+    /// Apply `f` to the `n`-th value of `v` in depth-first order (`v`
+    /// itself is value 0). Returns whether the walk reached it.
+    fn at_nth(v: &mut JsonValue, n: &mut usize, f: &mut dyn FnMut(&mut JsonValue)) -> bool {
+        if *n == 0 {
+            f(v);
+            return true;
+        }
+        *n -= 1;
+        match v {
+            JsonValue::Array(items) => items.iter_mut().any(|item| at_nth(item, n, f)),
+            JsonValue::Object(members) => members.iter_mut().any(|(_, m)| at_nth(m, n, f)),
+            _ => false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Baselines are user input: a mutated `BENCH_phantom.json`
+        /// (truncated, byte-flipped, with keys deleted or values swapped
+        /// for another JSON type) decodes to `Ok` or `Err`, never a
+        /// panic.
+        #[test]
+        fn mutated_baselines_never_panic(
+            ops in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                1..4,
+            ),
+        ) {
+            let mut text = COMMITTED.to_string();
+            for (kind, a, b) in ops {
+                match kind {
+                    0 => {
+                        let mut bytes = text.into_bytes();
+                        bytes.truncate(a as usize % (bytes.len() + 1));
+                        text = String::from_utf8_lossy(&bytes).into_owned();
+                    }
+                    1 => {
+                        let mut bytes = text.into_bytes();
+                        if !bytes.is_empty() {
+                            let i = a as usize % bytes.len();
+                            bytes[i] ^= (b as u8).max(1);
+                        }
+                        text = String::from_utf8_lossy(&bytes).into_owned();
+                    }
+                    _ => {
+                        let Ok(mut doc) = parse(&text) else { continue };
+                        let mut n = a as usize % values(&doc);
+                        at_nth(&mut doc, &mut n, &mut |v| {
+                            if kind == 2 {
+                                if let JsonValue::Object(members) = v {
+                                    if !members.is_empty() {
+                                        members.remove(b as usize % members.len());
+                                    }
+                                }
+                            } else {
+                                *v = match b % 7 {
+                                    0 => JsonValue::Null,
+                                    1 => JsonValue::Bool(true),
+                                    2 => JsonValue::Int(-7),
+                                    3 => JsonValue::Float(0.5),
+                                    4 => JsonValue::Str("x".into()),
+                                    5 => JsonValue::Array(vec![JsonValue::Uint(1)]),
+                                    _ => JsonValue::object(),
+                                };
+                            }
+                        });
+                        text = doc.to_pretty_string();
+                    }
+                }
+            }
+            let _ = BenchSnapshot::from_json_str(&text);
+        }
     }
 }
